@@ -3,7 +3,9 @@
 Local connectivity between nonadjacent vertices uses Menger's theorem on a
 vertex-split digraph (each vertex becomes an in/out pair joined by a
 capacity-1 arc) with breadth-first augmentation. All tie-breaking is by
-lowest vertex index, so path systems are deterministic.
+lowest vertex index, so path systems are deterministic. Hamiltonian
+cycles (n <= 12) come from plain-Python backtracking that branches on
+low-degree neighbors first.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import hamiltonian_search
 from .errors import GraphError, OrderLimitError, VertexSetError
 from .graphs import Graph
 
@@ -232,18 +233,51 @@ def hamiltonian_cycle(g: Graph) -> tuple[int, ...] | None:
             f"Hamiltonian search is backtracking and capped at n = "
             f"{HAMILTONIAN_ORDER_LIMIT}, got n = {n}"
         )
-    if n < 3:
-        return None
-    deg = np.array(g.degrees(), dtype=np.int64)
-    nbrs = np.zeros((n, n), dtype=np.int64)
-    for v in range(n):
-        ns = sorted(g.neighbors(v), key=lambda u: (deg[u], u))
-        for i, u in enumerate(ns):
-            nbrs[v, i] = u
-    cyc = hamiltonian_search(g.adjacency_matrix(), nbrs, deg)
-    if len(cyc) != n:
-        return None
-    return tuple(int(v) for v in cyc)
+    deg = g.degrees()
+    cyc = hamiltonian_search([sorted(g.neighbors(v), key=lambda u: (deg[u], u)) for v in range(n)])
+    return tuple(cyc) if cyc else None
+
+
+def hamiltonian_search(nbrs: list[list[int]]) -> list[int]:
+    """First spanning cycle through vertex 0, or an empty list.
+
+    Backtracking over paths from 0. nbrs[v] lists the neighbors of v in
+    fixed branching order; the first cycle found under that order is
+    returned, so output is deterministic.
+    """
+    n = len(nbrs)
+    if n < 3 or any(len(ns) < 2 for ns in nbrs):
+        return []
+    closes = set(nbrs[0])
+    path = [0] * n
+    ptr = [0] * (n + 1)
+    visited = [False] * n
+    visited[0] = True
+    depth = 1
+    while True:
+        if depth == n:
+            if path[n - 1] in closes:
+                return path
+            depth -= 1
+            visited[path[depth]] = False
+            ptr[depth] += 1
+            continue
+        ns = nbrs[path[depth - 1]]
+        k = ptr[depth]
+        while k < len(ns) and visited[ns[k]]:
+            k += 1
+        if k < len(ns):
+            ptr[depth] = k
+            path[depth] = ns[k]
+            visited[ns[k]] = True
+            depth += 1
+            ptr[depth] = 0
+        else:
+            if depth == 1:
+                return []
+            depth -= 1
+            visited[path[depth]] = False
+            ptr[depth] += 1
 
 
 def is_hamiltonian(g: Graph) -> bool:

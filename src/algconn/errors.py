@@ -38,7 +38,7 @@ class DisconnectedGraphError(GraphError):
 
 
 class ConvergenceError(AlgConnError, RuntimeError):
-    """Eigensolver failed to converge within the iteration cap."""
+    """The LAPACK eigensolver did not converge; ``.matrix`` holds its input."""
 
 
 class RewireDefectError(AlgConnError):

@@ -7,8 +7,10 @@ is a cycle C), then thread every off-cycle vertex into an edge of P1 whose
 x-interval covers its value, in ascending x order. Replacing each such P1
 edge by its threaded path only refines increments, so by the squared
 telescoping inequality the quadratic form cannot grow. The result G' is a
-spanning cycle; for non-Hamiltonian inputs its algebraic connectivity
-drops strictly below the input's, which the certificate records.
+spanning cycle, checked before the certificate is issued, so its algebraic
+connectivity is alpha(C_n) and comes from the closed form. For
+non-Hamiltonian inputs it drops strictly below the input's, which the
+certificate records.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ from .connectivity import (
     hamiltonian_cycle,
     inner_disjoint_paths,
     is_biconnected,
+    is_connected,
 )
 from .errors import GraphError, RewireDefectError
 from .graphs import Graph, graph_from_edges
-from .spectra import FiedlerResult, algebraic_connectivity, fiedler_vector
+from .spectra import FiedlerResult, alpha_cycle_closed_form, fiedler_vector
 
 CHAIN_REL_TOL = 1e-15
 Q_CHAIN_SLACK = 1e-12
@@ -188,9 +191,10 @@ def rewire(g: Graph, f: FiedlerResult) -> RewireCertificate:
             f"quadratic-form chain violated: q_G' = {q_gp!r}, q_C = {q_c!r}, "
             f"q_G = {q_g!r}"
         )
-    degs = g_prime.degrees()
-    if g_prime.n != g.n or any(d != 2 for d in degs):
-        raise RewireDefectError("rewired graph is not a spanning cycle")
+    # connected and 2-regular on all n vertices is one spanning cycle, the
+    # graph whose alpha the closed form gives
+    if g_prime.n != g.n or any(d != 2 for d in g_prime.degrees()) or not is_connected(g_prime):
+        raise RewireDefectError("rewired graph is not a single spanning cycle")
     return RewireCertificate(
         v_min=v_min,
         v_max=v_max,
@@ -203,7 +207,7 @@ def rewire(g: Graph, f: FiedlerResult) -> RewireCertificate:
         q_c=q_c,
         q_gprime=q_gp,
         alpha_g=float(f.alpha),
-        alpha_gprime=algebraic_connectivity(g_prime),
+        alpha_gprime=alpha_cycle_closed_form(g.n),
         hamiltonian_case=hamiltonian_case,
     )
 

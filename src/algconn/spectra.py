@@ -1,14 +1,10 @@
 """Laplacian spectra: algebraic connectivity and Fiedler vectors.
 
-The eigensolver is the package's own dense routine: Householder
-tridiagonalization followed by implicit-shift QL, written with numpy
-array operations (each Householder step is one matrix-vector product and
-one rank-2 update; each Givens rotation updates two rows of the
-transposed eigenvector matrix). Its sums run left to right, as in the
-scalar loops of the textbook routine. No LAPACK eigenvalue routine is
-involved, the iteration cap is honoured exactly, and repeated runs on one
-numpy build are bit-identical. Graphs in scope are small, so dense is
-always fine.
+The eigensolver is LAPACK's symmetric driver through ``numpy.linalg.eigh``
+(eigenvalues ascending, orthonormal eigenvectors as columns). It is exact
+to roundoff for the small dense Laplacians in scope, and repeated runs on
+one numpy build are bit-identical; a different numpy or LAPACK build may
+move the last digits.
 """
 
 from __future__ import annotations
@@ -21,10 +17,6 @@ import numpy as np
 from .connectivity import is_connected
 from .errors import ConvergenceError, DisconnectedGraphError, GraphError
 from .graphs import Graph
-
-DEFAULT_MAX_ITER = 64
-
-_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -44,173 +36,29 @@ class FiedlerResult:
     residual: float
 
 
-def eigen_symmetric(m: np.ndarray, max_iter: int = DEFAULT_MAX_ITER) -> SpectralDecomposition:
-    """Full spectral decomposition of a symmetric matrix."""
+def eigen_symmetric(m: np.ndarray) -> SpectralDecomposition:
+    """Full spectral decomposition of a finite symmetric matrix."""
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise GraphError(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]
     if n == 0:
         raise GraphError("empty matrix has no spectrum")
-    scale = float(np.max(np.abs(a))) if n else 0.0
+    # LAPACK returns NaNs for infinite input instead of failing
+    if not np.all(np.isfinite(a)):
+        raise GraphError("matrix has non-finite entries")
+    scale = float(np.max(np.abs(a)))
     if float(np.max(np.abs(a - a.T))) > 1e-12 * max(1.0, scale):
         raise GraphError("matrix is not symmetric")
     a = (a + a.T) / 2.0
-    if n == 1:
-        values, vectors = a[0].copy(), np.ones((1, 1))
-    else:
-        z = a.copy()
-        d, e = _tridiagonalize(z)
-        # eigenvectors are rotated as rows, so each rotation touches two
-        # contiguous rows
-        zt = np.ascontiguousarray(z.T)
-        failed, iters = _ql_implicit(d, e, zt, max_iter)
-        if failed is not None:
-            err = ConvergenceError(
-                f"QL iteration failed to converge for eigenvalue index {failed} "
-                f"of a {n}x{n} matrix after {iters} iterations (cap {max_iter})"
-            )
-            err.matrix = a
-            err.iterations = iters
-            raise err
-        # a stable sort keeps tied eigenvalues in sweep order
-        order = np.argsort(d, kind="stable")
-        values = np.array(d)[order]
-        vectors = np.ascontiguousarray(zt[order].T)
+    try:
+        values, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        err = ConvergenceError(f"eigensolver failed on a {n}x{n} matrix: {exc}")
+        err.matrix = a
+        raise err from exc
     residual = float(np.max(np.abs(a @ vectors - vectors * values)))
     return SpectralDecomposition(eigenvalues=values, eigenvectors=vectors, residual=residual)
-
-
-def _sum_lr(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Sum along axis strictly left to right.
-
-    np.cumsum accumulates in order, unlike np.sum (pairwise) or BLAS dot
-    products (blocked, SIMD width and FMA dependent), so the rounding is
-    the same on every numpy build.
-    """
-    return np.cumsum(x, axis=axis).take(-1, axis=axis)
-
-
-def _tridiagonalize(z: np.ndarray) -> tuple[list[float], list[float]]:
-    """Reduce symmetric z to tridiagonal form, accumulating the transform.
-
-    Returns (d, e): d the diagonal, e[1:] the subdiagonal. On exit z holds
-    the orthogonal Q with Q^T A Q tridiagonal. The leading block still to
-    be reduced is kept fully symmetric, so each step is one matrix-vector
-    product and one rank-2 update.
-    """
-    n = z.shape[0]
-    h_steps = [0.0] * n
-    e = [0.0] * n
-    for i in range(n - 1, 0, -1):
-        l = i - 1
-        h = 0.0
-        if l > 0:
-            u = z[i, :i]
-            scale = float(_sum_lr(np.abs(u)))
-            if scale == 0.0:
-                e[i] = float(z[i, l])
-            else:
-                u /= scale
-                h = float(_sum_lr(u * u))
-                f = float(u[l])
-                g = -math.sqrt(h) if f >= 0.0 else math.sqrt(h)
-                e[i] = scale * g
-                h -= f * g
-                u[l] = f - g
-                # column i keeps u / h for the accumulation below
-                z[:i, i] = u / h
-                block = z[:i, :i]
-                p = _sum_lr(block * u) / h
-                q = p - (float(_sum_lr(p * u)) / (h + h)) * u
-                t = u[:, None] * q
-                block -= t + t.T
-        else:
-            e[i] = float(z[i, l])
-        h_steps[i] = h
-    d = [0.0] * n
-    for i in range(n):
-        if h_steps[i] != 0.0:
-            g = _sum_lr(z[i, :i, None] * z[:i, :i], axis=0)
-            z[:i, :i] -= z[:i, i, None] * g
-        d[i] = float(z[i, i])
-        z[i, i] = 1.0
-        z[:i, i] = 0.0
-        z[i, :i] = 0.0
-    return d, e
-
-
-def _ql_implicit(
-    d: list[float], e: list[float], zt: np.ndarray, max_iter: int
-) -> tuple[int | None, int]:
-    """Implicit-shift QL sweeps on a tridiagonal system, rotating zt along.
-
-    d is overwritten with the eigenvalues; row k of zt becomes the
-    eigenvector of d[k]. Returns (failed, iters): failed is None on success,
-    or the index of the eigenvalue that did not settle within max_iter
-    iterations, and iters is the most iterations any eigenvalue took.
-    """
-    n = len(d)
-    e = e[1:] + [0.0]
-    # a Givens rotation of rows a = zt[i], b = zt[i + 1] is four ufunc
-    # calls into preallocated buffers: ca = c*a, cb = c*b, sa = s*a,
-    # sb = s*b, then a = ca - sb and b = sa + cb
-    mul, add, sub, hypot, eps = np.multiply, np.add, np.subtract, math.hypot, _EPS
-    rows = list(zt)
-    pairs = [zt[i : i + 2] for i in range(n - 1)]
-    buf = np.empty((2, 2, n))
-    c_rows, s_rows = buf[0], buf[1]
-    ca, cb, sa, sb = buf[0, 0], buf[0, 1], buf[1, 0], buf[1, 1]
-    worst = 0
-    for l in range(n):
-        it = 0
-        while True:
-            m = l
-            while m < n - 1:
-                em = abs(e[m])
-                if em <= eps * (abs(d[m]) + abs(d[m + 1])) or em < 1e-300:
-                    break
-                m += 1
-            if m == l:
-                break
-            it += 1
-            if it > max_iter:
-                return l, it
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + (r if g >= 0.0 else -r))
-            s = 1.0
-            c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                mul(pairs[i], c, c_rows)
-                mul(pairs[i], s, s_rows)
-                sub(ca, sb, rows[i])
-                add(sa, cb, rows[i + 1])
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-        worst = max(worst, it)
-    return None, worst
 
 
 def laplacian_spectrum(g: Graph) -> SpectralDecomposition:

@@ -21,7 +21,7 @@ import io
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .canon import canonical_form
@@ -108,16 +108,20 @@ def _classify(code: str, gap: float, n: int, margins: Margins) -> EqualityClass:
             flagged=True,
             flag_reason="alpha matches the cycle but no equality family member does",
         )
-    label = str(spec.kind)
+    return _family_match(spec, gap, margins)
+
+
+def _family_match(spec: FamilySpec, gap: float, margins: Margins) -> EqualityClass:
+    """Verdict for a family member; flagged when its gap is in the ambiguity band."""
     if abs(gap) > margins.strict_margin:
         return EqualityClass(
-            label,
+            str(spec.kind),
             spec,
             gap,
             flagged=True,
             flag_reason="family match with alpha gap inside the ambiguity band",
         )
-    return EqualityClass(label, spec, gap)
+    return EqualityClass(str(spec.kind), spec, gap)
 
 
 def classify_equality(g: Graph, margins: Margins = Margins()) -> EqualityClass:
@@ -129,36 +133,80 @@ def classify_equality(g: Graph, margins: Margins = Margins()) -> EqualityClass:
     return _classify(canonical_form(g), gap, g.n, margins)
 
 
-def _biconnected_row(code_g6: str, n: int, margins: Margins) -> SweepRow:
-    g = graph_from_graph6(code_g6)
-    f = fiedler_vector(g)
+def _biconnected_verdict(
+    code_g6: str, n: int, alpha: float, hamiltonian: bool, drop: float, margins: Margins
+) -> EqualityClass:
+    """Bound check and equality verdict of a biconnected sweep row.
+
+    Computed rows and rows resumed from a checkpoint both pass through here.
+    """
     alpha_ref = alpha_cycle_closed_form(n)
-    gap = f.alpha - alpha_ref
+    gap = alpha - alpha_ref
     if gap < -margins.bound_slack:
         raise VerificationError(
-            f"lower bound violated at {code_g6}: alpha = {f.alpha!r} < "
+            f"lower bound violated at {code_g6}: alpha = {alpha!r} < "
             f"alpha(C_{n}) = {alpha_ref!r}"
         )
     eq = _classify(code_g6, gap, n, margins)
-    ham = hamiltonian_cycle(g) is not None
-    cert = rewire(g, f)
-    drop = cert.alpha_g - cert.alpha_gprime
-    if not ham and drop <= margins.strict_margin:
-        eq = EqualityClass(
-            eq.label,
-            eq.matched_spec,
-            eq.alpha_gap,
+    if not hamiltonian and drop <= margins.strict_margin:
+        eq = replace(
+            eq,
             flagged=True,
             flag_reason="non-Hamiltonian graph whose rewiring drop is inside the margin",
         )
+    return eq
+
+
+def _biconnected_row(code_g6: str, n: int, margins: Margins) -> SweepRow:
+    g = graph_from_graph6(code_g6)
+    f = fiedler_vector(g)
+    ham = hamiltonian_cycle(g) is not None
+    cert = rewire(g, f)
+    drop = cert.alpha_g - cert.alpha_gprime
     return SweepRow(
         code=CanonicalCode(n, code_g6),
         alpha=f.alpha,
-        equality=eq,
+        equality=_biconnected_verdict(code_g6, n, f.alpha, ham, drop, margins),
         hamiltonian=ham,
         rewire_drop=drop,
         alpha_gprime=cert.alpha_gprime,
     )
+
+
+def _load_checkpoint(path: str, n: int, margins: Margins) -> dict[str, SweepRow]:
+    """Rows of an earlier run of the order-n sweep, re-checked under margins.
+
+    The sweep ends every row with a newline, so text after the last newline
+    is a row cut short by an interrupt: it is dropped, and the file is
+    truncated to the last complete line so new rows append cleanly. Any
+    other line that does not hold a valid row raises VerificationError.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    lines = data.split(b"\n")
+    torn = lines.pop()
+    if torn:
+        with open(path, "r+b") as fh:
+            fh.truncate(len(data) - len(torn))
+    done: dict[str, SweepRow] = {}
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            row = _row_from_dict(json.loads(line))
+            if row.code.n != n:
+                raise VerificationError(f"row is for n = {row.code.n}, not {n}")
+            eq = _biconnected_verdict(
+                row.code.code, n, row.alpha, row.hamiltonian, row.rewire_drop, margins
+            )
+            if eq.alpha_gap != row.equality.alpha_gap:
+                raise VerificationError(
+                    f"gap {row.equality.alpha_gap!r} does not match alpha {row.alpha!r}"
+                )
+        except (ValueError, KeyError, TypeError, VerificationError) as exc:
+            raise VerificationError(f"checkpoint {path}, line {lineno}: {exc}") from exc
+        done[row.code.code] = replace(row, equality=eq)
+    return done
 
 
 def verify_theorem_1(
@@ -171,7 +219,8 @@ def verify_theorem_1(
 
     Raises VerificationError on any bound violation or when the equality
     set differs from the chorded-cycle families. Rows stream to the
-    checkpoint file as they finish, so an interrupted sweep resumes there.
+    checkpoint file as they finish, so an interrupted sweep resumes there;
+    resumed rows get the same bound check and verdict as computed ones.
     """
     if not 4 <= n <= 9:
         raise VerificationError(f"biconnected sweep covers 4 <= n <= 9, got n = {n}")
@@ -179,11 +228,7 @@ def verify_theorem_1(
     codes = [g.to_graph6() for g in enumerate_graphs(n, is_biconnected)]
     done: dict[str, SweepRow] = {}
     if checkpoint and os.path.exists(checkpoint):
-        with open(checkpoint, encoding="ascii") as fh:
-            for line in fh:
-                if line.strip():
-                    row = _row_from_dict(json.loads(line))
-                    done[row.code.code] = row
+        done = _load_checkpoint(checkpoint, n, margins)
     todo = [c for c in codes if c not in done]
     sink = open(checkpoint, "a", encoding="ascii") if checkpoint else None
     try:
@@ -243,15 +288,7 @@ def _theta_row(triple: tuple[int, int, int], margins: Margins) -> SweepRow:
             f"family spec {chord_spec!r}"
         )
     if chord_spec is not None:
-        eq = EqualityClass(str(chord_spec.kind), chord_spec, gap)
-        if abs(gap) > margins.strict_margin:
-            eq = EqualityClass(
-                eq.label,
-                eq.matched_spec,
-                gap,
-                flagged=True,
-                flag_reason="family match with alpha gap inside the ambiguity band",
-            )
+        eq = _family_match(chord_spec, gap, margins)
     else:
         eq = EqualityClass(NOT_EXTREMAL, None, gap)
     cert = rewire(g, f)

@@ -4,9 +4,9 @@ Everything here deliberately avoids the package's own algorithms:
 connectivity is vectorized bitset BFS over labeled adjacency masks,
 biconnectivity is the definitional all-vertex-deletions check, and
 isomorphism bucketing is an exhaustive minimum over all permutations
-computed with numpy remaps. Slow but trustworthy. The one exception is
-scalar_eigensystem, the scalar-loop form of the package's eigensolver,
-which pins the vectorized routine's arithmetic bit for bit.
+computed with numpy remaps, and scalar_eigensystem is a textbook
+Householder + implicit-shift QL in scalar loops, not the LAPACK routine
+the package calls. Slow but trustworthy.
 """
 
 from __future__ import annotations
@@ -360,10 +360,10 @@ def brute_local_connectivity(g, s: int, t: int) -> int:
 def scalar_eigensystem(a: np.ndarray, max_iter: int):
     """Householder + implicit-shift QL as plain scalar loops.
 
-    The textbook form of the routine behind spectra.eigen_symmetric, which
-    does the same arithmetic with numpy array operations. Returns (values,
-    vectors, failed, iters) with values ascending (ties in sweep order),
-    failed None on success, else the index of the unsettled eigenvalue.
+    The reference that spectra.eigen_symmetric (LAPACK) is checked against
+    to roundoff. Returns (values, vectors, failed, iters) with values
+    ascending (ties in sweep order), failed None on success, else the index
+    of the unsettled eigenvalue.
     """
     n = a.shape[0]
     z = [[float(x) for x in row] for row in a]

@@ -137,6 +137,17 @@ class TestVerify:
         assert code == 0
         assert len(cp.read_text().splitlines()) == 10
 
+    def test_t1_edited_checkpoint_exits_1(self, capsys, tmp_path):
+        cp = tmp_path / "rows.jsonl"
+        run(capsys, "verify", "t1", "--n", "5", "--checkpoint", str(cp))
+        lines = cp.read_text().splitlines()
+        row = json.loads(lines[0])
+        row.update(alpha=99.0, gap=-5.0)
+        cp.write_text("\n".join([json.dumps(row)] + lines[1:]) + "\n")
+        code, out, err = run(capsys, "verify", "t1", "--n", "5", "--checkpoint", str(cp))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "line 1" in err
+
     def test_t1_report_files(self, capsys, tmp_path):
         jpath, cpath = tmp_path / "r.json", tmp_path / "r.csv"
         code, out, _ = run(

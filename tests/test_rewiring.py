@@ -12,6 +12,7 @@ from algconn.connectivity import is_biconnected
 from algconn.errors import GraphError, RewireDefectError
 from algconn.families import FamilyKind, FamilySpec, cycle_graph, realize
 from algconn.graphs import complete_graph, graph_from_edges, graph_from_graph6
+from algconn import rewiring
 from algconn.rewiring import (
     chain_inequality_check,
     certificate_to_dict,
@@ -200,6 +201,24 @@ class TestRewire:
         assert is_isomorphic(cert.g_prime, cycle_graph(6))
         off = sorted(set(range(6)) - set(cert.cycle))
         assert sorted(v for lst in cert.assignments for v in lst) == off
+
+    def test_two_disjoint_cycles_rejected(self, monkeypatch):
+        # 2-regular on all n vertices is not enough: alpha(G') is taken from
+        # the closed form, so G' must be one connected cycle
+        # low-x and high-x triangles keep the quadratic-form chain intact,
+        # so only the spanning-cycle check can catch them
+        def two_triangles(n, cycle, p1, lists, x):
+            order = sorted(range(n), key=lambda v: (x[v], v))
+            pairs = []
+            for a, b, c in (order[:3], order[3:]):
+                pairs += [(a, b), (b, c), (a, c)]
+            return graph_from_edges(n, pairs)
+
+        g = graph_from_edges(6, [(a, b) for a in (0, 1) for b in (2, 3, 4, 5)])
+        f = fiedler_vector(g)
+        monkeypatch.setattr(rewiring, "_thread", two_triangles)
+        with pytest.raises(RewireDefectError, match="single spanning cycle"):
+            rewire(g, f)
 
     def test_every_biconnected_n5_certificate(self):
         from algconn.enumeration import enumerate_graphs

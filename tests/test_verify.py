@@ -169,6 +169,66 @@ def test_sweep_checkpoint_resume(tmp_path):
     assert again.rows == full.rows
 
 
+def _edit_row(line, **fields):
+    d = json.loads(line)
+    d.update(fields)
+    return json.dumps(d)
+
+
+def test_checkpoint_edited_row_rejected(tmp_path):
+    cp = tmp_path / "sweep5.jsonl"
+    verify_theorem_1(5, checkpoint=str(cp))
+    lines = cp.read_text().splitlines()
+    # a row outside the equality set, so the set comparison cannot catch it
+    k = next(i for i, line in enumerate(lines) if json.loads(line)["label"] == NOT_EXTREMAL)
+    lines[k] = _edit_row(lines[k], alpha=99.0, gap=-5.0)
+    cp.write_text("\n".join(lines) + "\n")
+    with pytest.raises(VerificationError, match=f"line {k + 1}: gap -5.0 does not match"):
+        verify_theorem_1(5, checkpoint=str(cp))
+
+
+def test_checkpoint_row_below_bound_rejected(tmp_path):
+    cp = tmp_path / "sweep5.jsonl"
+    verify_theorem_1(5, checkpoint=str(cp))
+    lines = cp.read_text().splitlines()
+    alpha = alpha_cycle_closed_form(5) - 0.5
+    lines[0] = _edit_row(lines[0], alpha=alpha, gap=alpha - alpha_cycle_closed_form(5))
+    cp.write_text("\n".join(lines) + "\n")
+    with pytest.raises(VerificationError, match="line 1: lower bound violated"):
+        verify_theorem_1(5, checkpoint=str(cp))
+
+
+def test_checkpoint_resumed_rows_follow_current_margins(tmp_path):
+    cp = tmp_path / "sweep5.jsonl"
+    verify_theorem_1(5, checkpoint=str(cp))
+    strict = Margins(strict_margin=1.0)
+    assert verify_theorem_1(5, strict, checkpoint=str(cp)).rows == verify_theorem_1(5, strict).rows
+
+
+def test_checkpoint_torn_last_line_dropped(tmp_path):
+    cp = tmp_path / "sweep5.jsonl"
+    full = verify_theorem_1(5, checkpoint=str(cp))
+    lines = cp.read_text().splitlines()
+    # an interrupt mid-write leaves a partial row without its newline
+    cp.write_text("\n".join(lines[:4]) + "\n" + lines[4][:25])
+    resumed = verify_theorem_1(5, checkpoint=str(cp))
+    assert resumed.rows == full.rows
+    text = cp.read_text()
+    assert text.endswith("\n") and len(text.splitlines()) == 10
+    assert {_row_from_dict(json.loads(line)).code for line in text.splitlines()} == {
+        r.code for r in full.rows
+    }
+
+
+def test_checkpoint_bad_inner_line_rejected(tmp_path):
+    cp = tmp_path / "sweep5.jsonl"
+    verify_theorem_1(5, checkpoint=str(cp))
+    lines = cp.read_text().splitlines()
+    cp.write_text("\n".join(lines[:2] + [lines[2][:25]] + lines[3:]) + "\n")
+    with pytest.raises(VerificationError, match="line 3"):
+        verify_theorem_1(5, checkpoint=str(cp))
+
+
 def test_sweep_flags_survive_to_report():
     report = verify_theorem_1(4, Margins(equal_tol=10.0))
     assert report.flagged == ("C~",)  # K4 matches nothing despite the wide filter
