@@ -1,12 +1,26 @@
 """Exhaustive one-per-isomorphism-class generation of small graphs.
 
-Level construction: every connected graph on k+1 vertices arises from a
-connected graph on k vertices by adding one vertex joined to a nonempty
-neighbor set (delete any spanning-tree leaf to see this), so extending
-each class representative by every nonempty subset and deduplicating by
-canonical form covers the connected classes exactly. Levels are cached
-per process; predicates (biconnected, anything else over connected
-graphs) filter the cached stream.
+Level construction: a child on n vertices is a class representative P
+of order n-1 plus vertex k = n-1 joined to a nonempty neighbour set
+(mask). Distinct classes are kept by canonical form, but the canonical
+form, the costly step, is only computed for children that pass the
+acceptance half of canonical augmentation (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 26, 1998): the new vertex must be
+a candidate for the vertex to delete. With f(v) = (degree of v, sorted
+degrees of v's neighbours), a child is rejected when some vertex v != k
+has f(v) > f(k) and the child minus v is still connected; every other
+child, ties included, is accepted. The test reads the child's bitmask
+rows and builds no Graph.
+
+Completeness: every connected graph G on n vertices has a non-cut
+vertex, so let v* maximize f among its non-cut vertices. G - v* is
+connected, so its class has a representative P in level n-1, and some
+mask rebuilds G from P with v* in the role of k. No vertex of that
+child outranks k by f and is a non-cut vertex, so it is accepted. Ties
+let several children of one class through; the set of canonical codes
+removes those duplicates. Levels are cached per process; predicates
+(biconnected, anything else over connected graphs) filter the cached
+stream.
 """
 
 from __future__ import annotations
@@ -55,6 +69,8 @@ def _connected_codes(n: int, rng: random.Random | None = None) -> tuple[str, ...
         if rng is not None:
             rng.shuffle(masks)
         for mask in masks:
+            if not _k_may_be_deleted(g._rows, mask):
+                continue
             pairs = list(g.edges)
             for u in range(k):
                 if mask >> u & 1:
@@ -64,6 +80,52 @@ def _connected_codes(n: int, rng: random.Random | None = None) -> tuple[str, ...
     if rng is None:
         _level_cache[n] = codes
     return codes
+
+
+def _k_may_be_deleted(parent_rows: tuple[int, ...], mask: int) -> bool:
+    """Acceptance test for parent + vertex k joined to mask (k = n-1).
+
+    False when some other vertex v has f(v) > f(k), with f(v) the degree
+    of v and the sorted degrees of its neighbours, and the child minus v
+    is still connected: then k is not the vertex canonical augmentation
+    deletes, and the child's class is built from another parent.
+    """
+    k = len(parent_rows)
+    rows = [r | (mask >> u & 1) << k for u, r in enumerate(parent_rows)]
+    rows.append(mask)
+    deg = [r.bit_count() for r in rows]
+    dk = deg[k]
+    fk = None
+    for v in range(k):
+        if deg[v] < dk:
+            continue
+        if deg[v] == dk:
+            if fk is None:
+                fk = _neighbour_degrees(rows[k], deg)
+            if _neighbour_degrees(rows[v], deg) <= fk:
+                continue
+        if _connected_without(rows, v):
+            return False
+    return True
+
+
+def _neighbour_degrees(row: int, deg: list[int]) -> list[int]:
+    return sorted(deg[u] for u in range(len(deg)) if row >> u & 1)
+
+
+def _connected_without(rows: list[int], v: int) -> bool:
+    """Whether the graph on bitmask rows stays connected once v is deleted."""
+    alive = (1 << len(rows)) - 1 & ~(1 << v)
+    seen = frontier = alive & -alive
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & alive & ~seen
+        seen |= frontier
+    return seen == alive
 
 
 def enumerate_graphs(

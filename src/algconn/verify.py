@@ -230,7 +230,9 @@ def verify_theorem_1(
     if checkpoint and os.path.exists(checkpoint):
         done = _load_checkpoint(checkpoint, n, margins)
     todo = [c for c in codes if c not in done]
-    sink = open(checkpoint, "a", encoding="ascii") if checkpoint else None
+    # line-buffered: each finished row reaches the file before the next
+    # starts, so an interrupted sweep loses none of them
+    sink = open(checkpoint, "a", encoding="ascii", buffering=1) if checkpoint else None
     try:
         if jobs > 1 and todo:
             with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:

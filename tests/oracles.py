@@ -6,7 +6,10 @@ biconnectivity is the definitional all-vertex-deletions check, and
 isomorphism bucketing is an exhaustive minimum over all permutations
 computed with numpy remaps, and scalar_eigensystem is a textbook
 Householder + implicit-shift QL in scalar loops, not the LAPACK routine
-the package calls. Slow but trustworthy.
+the package calls. plain_connected_codes is level construction without
+the augmentation acceptance test: it does use the package's canonical
+form, because what it checks is which classes the filtered generator
+reaches. Slow but trustworthy.
 """
 
 from __future__ import annotations
@@ -17,6 +20,9 @@ from fractions import Fraction
 from math import comb, factorial
 
 import numpy as np
+
+from algconn.canon import canonical_form
+from algconn.graphs import Graph, graph_from_graph6
 
 
 def pair_index(n: int) -> dict[tuple[int, int], int]:
@@ -480,3 +486,20 @@ def scalar_eigensystem(a: np.ndarray, max_iter: int):
     values = np.array([d[k] for k in order])
     vectors = np.array([[z[r][k] for k in order] for r in range(n)])
     return values, vectors, None, worst
+
+
+def plain_connected_codes(n: int) -> tuple[str, ...]:
+    """Sorted canonical codes of the connected classes of order n, built by
+    extending every class of order n-1 by every nonempty neighbour set of
+    a new vertex and keeping one code per class (no acceptance test)."""
+    codes = (canonical_form(Graph(1, frozenset())),)
+    for k in range(1, n):
+        out = set()
+        for code in codes:
+            g = graph_from_graph6(code)
+            for mask in range(1, 1 << k):
+                pairs = list(g.edges)
+                pairs += [(u, k) for u in range(k) if mask >> u & 1]
+                out.add(canonical_form(Graph(k + 1, frozenset(pairs))))
+        codes = tuple(sorted(out))
+    return codes

@@ -2,13 +2,20 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
 import oracles
 from algconn.canon import canonical_form, degree_profile, is_isomorphic
 from algconn.errors import OrderLimitError
-from algconn.graphs import Graph, complete_graph, graph_from_edges, graph_from_graph6
+from algconn.graphs import (
+    Graph,
+    complete_graph,
+    empty_graph,
+    graph_from_edges,
+    graph_from_graph6,
+)
 
 
 def cycle(n):
@@ -83,6 +90,35 @@ def test_canonical_form_decodes_to_isomorphic_graph():
 def test_order_limit():
     with pytest.raises(OrderLimitError):
         canonical_form(Graph(13, frozenset()))
+
+
+PETERSEN = graph_from_edges(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+)
+K66 = graph_from_edges(12, [(u, v) for u in range(6) for v in range(6, 12)])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [complete_graph(12), empty_graph(12), cycle(12), K66, PETERSEN],
+    ids=["K12", "empty12", "C12", "K6,6", "Petersen"],
+)
+def test_symmetric_worst_cases_at_cap(g):
+    # highly symmetric graphs at (or near) the order cap: bounded time, and
+    # the same code from a random relabeling
+    rng = random.Random(g.n * 1000 + g.m)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    codes = []
+    for h in (g, relabel(g, perm)):
+        start = time.perf_counter()
+        codes.append(canonical_form(h))
+        assert time.perf_counter() - start <= 2.0
+    assert codes[0] == codes[1]
+    assert graph_from_graph6(codes[0]).m == g.m
 
 
 class TestIsIsomorphic:

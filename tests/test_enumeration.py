@@ -9,8 +9,10 @@ import pytest
 import oracles
 from algconn.canon import canonical_form
 from algconn.connectivity import is_biconnected, is_connected, is_theta
+from algconn import enumeration
 from algconn.enumeration import (
     CanonicalCode,
+    _connected_codes,
     count_classes,
     enumerate_graphs,
     write_graph6_stream,
@@ -63,6 +65,50 @@ def test_counts_vs_burnside_arithmetic_n8():
     assert count_classes(8, is_connected) == oracles.burnside_class_count(
         8, c[8], oracles.connected_mask
     )
+
+
+@pytest.fixture
+def cold_level_cache(monkeypatch):
+    """An empty level cache for one test; the shared one is put back after."""
+    monkeypatch.setattr(enumeration, "_level_cache", {})
+
+
+def test_connected_codes_match_plain_oracle():
+    # the augmentation acceptance test drops children, never classes
+    for n in range(1, 8):
+        assert _connected_codes(n) == oracles.plain_connected_codes(n)
+
+
+@pytest.mark.slow
+def test_connected_codes_match_plain_oracle_n8():
+    assert _connected_codes(8) == oracles.plain_connected_codes(8)
+
+
+def test_shuffled_parents_and_masks_same_codes(cold_level_cache):
+    # an rng shuffles every level's parents and masks and caches nothing,
+    # so the unshuffled build below starts cold too
+    shuffled = [
+        [g.to_graph6() for g in enumerate_graphs(7, lambda _: True, random.Random(seed))]
+        for seed in (3, 11)
+    ]
+    want = list(_connected_codes(7))
+    assert shuffled == [want, want]
+
+
+def test_acceptance_test_prunes_canonical_calls(cold_level_cache, monkeypatch):
+    # extending every class by every mask makes 7,813 canonical-form calls
+    # for levels <= 7; the acceptance test must cut most of them
+    calls = 0
+    canonical = enumeration.canonical_form
+
+    def counted(g):
+        nonlocal calls
+        calls += 1
+        return canonical(g)
+
+    monkeypatch.setattr(enumeration, "canonical_form", counted)
+    assert len(_connected_codes(7)) == CONNECTED_CLASS_COUNTS[7]
+    assert calls < 2500
 
 
 def test_frozen_regression_counts():

@@ -16,6 +16,7 @@ from algconn.families import (
     theta_triples,
 )
 from algconn.graphs import graph_from_edges, graph_from_graph6
+from algconn import verify
 from algconn.spectra import alpha_cycle_closed_form
 from algconn.verify import (
     CSV_COLUMNS,
@@ -227,6 +228,31 @@ def test_checkpoint_bad_inner_line_rejected(tmp_path):
     cp.write_text("\n".join(lines[:2] + [lines[2][:25]] + lines[3:]) + "\n")
     with pytest.raises(VerificationError, match="line 3"):
         verify_theorem_1(5, checkpoint=str(cp))
+
+
+def test_checkpoint_rows_on_disk_before_interrupt(tmp_path, monkeypatch):
+    # a sweep killed mid-run must already have every finished row in the
+    # file, not in a write buffer that dies with the process
+    cp = tmp_path / "sweep6.jsonl"
+    k = 7
+    row = verify._biconnected_row
+    done = 0
+    text = None
+
+    def dies_after_k(code, n, margins):
+        nonlocal done, text
+        if done == k:
+            text = cp.read_text()
+            raise KeyboardInterrupt
+        done += 1
+        return row(code, n, margins)
+
+    monkeypatch.setattr(verify, "_biconnected_row", dies_after_k)
+    with pytest.raises(KeyboardInterrupt):
+        verify_theorem_1(6, checkpoint=str(cp))
+    assert text.endswith("\n") and len(text.splitlines()) == k
+    for line in text.splitlines():
+        assert _row_from_dict(json.loads(line)).code.n == 6
 
 
 def test_sweep_flags_survive_to_report():
