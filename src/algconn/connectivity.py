@@ -1,47 +1,63 @@
 """Connectivity structure: cut vertices, vertex connectivity, disjoint paths.
 
-Local connectivity between nonadjacent vertices uses Menger's theorem on a
-vertex-split digraph (each vertex becomes an in/out pair joined by a
-capacity-1 arc) with breadth-first augmentation. All tie-breaking is by
-lowest vertex index, so path systems are deterministic. Hamiltonian
-cycles (n <= 12) come from plain-Python backtracking that branches on
-low-degree neighbors first.
+Reachability runs on the graph's bitmask rows, one breadth-first frontier
+at a time, peeling set bits lowest first.
+
+Local connectivity between two vertices uses Menger's theorem on the
+vertex-split digraph. Node 2v is v_in and node 2v+1 is v_out. The arc
+v_in -> v_out has capacity 1 (n at the two endpoints, which are internal
+to no path), and each edge uv gives arcs u_out -> v_in and v_out -> u_in
+of capacity 1. The digraph is held as adjacency lists, one insertion-
+ordered {head: capacity} dict per node: v_in lists {v_out} and every
+u_out with u a neighbour of v, v_out lists {v_in} and every such u_in,
+each in ascending node order. Those are all the ordered pairs whose
+residual capacity can ever be positive: an arc, or the reverse of one.
+Breadth-first augmentation scans each list in ascending order, so it
+meets the candidates of a node in the same order as a scan over all 2n
+nodes that skips zero residuals, and finds the same augmenting paths;
+the path decomposition takes, at each step, the lowest-indexed arc that
+still carries flow. Every tie therefore goes to the lowest node index,
+and path systems are deterministic. Hamiltonian cycles (n <= 12) come
+from plain-Python backtracking that branches on low-degree neighbors
+first.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import GraphError, OrderLimitError, VertexSetError
 from .graphs import Graph
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return False
-    seen = 1
-    stack = [0]
-    count = 1
-    while stack:
-        v = stack.pop()
-        row = g._rows[v] & ~seen
-        u = 0
-        while row:
-            if row & 1:
-                seen |= 1 << u
-                count += 1
-                stack.append(u)
-            row >>= 1
-            u += 1
-    return count == g.n
+    return g.n > 0 and connected_within(g._rows, (1 << g.n) - 1)
+
+
+def connected_within(rows, alive: int) -> bool:
+    """Whether the vertices in the bitmask alive are connected by edges
+    among themselves; rows are the bitmask adjacency rows."""
+    seen = frontier = alive & -alive
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & alive & ~seen
+        seen |= frontier
+    return seen == alive
 
 
 def articulation_vertices(g: Graph) -> list[int]:
     """Cut vertices of a connected graph, by one lowpoint DFS pass."""
     if not is_connected(g):
         raise GraphError("articulation vertices are defined here for connected graphs")
+    return _cut_vertices(g)
+
+
+def _cut_vertices(g: Graph) -> list[int]:
     n = g.n
     disc = [-1] * n
     low = [0] * n
@@ -88,7 +104,7 @@ def is_biconnected(g: Graph) -> bool:
     """Connected, at least 3 vertices, and free of cut vertices."""
     if g.n < 3 or not is_connected(g):
         return False
-    return not articulation_vertices(g)
+    return not _cut_vertices(g)
 
 
 # ---------------------------------------------------------------------------
@@ -97,30 +113,42 @@ def is_biconnected(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _split_flow(g: Graph, s: int, t: int) -> tuple[int, np.ndarray]:
+def _split_flow(
+    g: Graph, s: int, t: int
+) -> tuple[int, list[dict[int, int]], list[dict[int, int]]]:
+    """Maximum s_out -> t_in flow by breadth-first augmentation.
+
+    Returns the flow value, the capacities and the final residuals, each
+    a list over split nodes of {head: value} dicts in ascending head order.
+    """
     n = g.n
-    nn = 2 * n
-    cap = np.zeros((nn, nn), dtype=np.int64)
+    if not (0 <= s < n and 0 <= t < n) or s == t:
+        raise VertexSetError(f"need two distinct vertices in range, got {s}, {t}")
+    cap: list[dict[int, int]] = []
     for v in range(n):
-        cap[2 * v, 2 * v + 1] = 1
-    cap[2 * s, 2 * s + 1] = n  # endpoints are not internal to any path
-    cap[2 * t, 2 * t + 1] = n
-    for u, v in g.edge_list:
-        cap[2 * u + 1, 2 * v] = 1
-        cap[2 * v + 1, 2 * u] = 1
+        nbrs = g.neighbors(v)
+        k = bisect_left(nbrs, v)
+        heads = [2 * u + 1 for u in nbrs]
+        heads.insert(k, 2 * v + 1)
+        v_in = dict.fromkeys(heads, 0)
+        v_in[2 * v + 1] = n if v == s or v == t else 1  # endpoints are not internal to any path
+        heads = [2 * u for u in nbrs]
+        heads.insert(k, 2 * v)
+        v_out = dict.fromkeys(heads, 1)
+        v_out[2 * v] = 0
+        cap += (v_in, v_out)
+    res = [dict(arcs) for arcs in cap]
     source, sink = 2 * s + 1, 2 * t
-    flow = np.zeros((nn, nn), dtype=np.int64)
     total = 0
     while True:
-        prev = np.full(nn, -1, dtype=np.int64)
+        prev = [-1] * (2 * n)
         prev[source] = source
         queue = [source]
-        qi = 0
-        while qi < len(queue) and prev[sink] == -1:
-            x = queue[qi]
-            qi += 1
-            for y in range(nn):  # ascending scan fixes the augmenting path
-                if prev[y] == -1 and cap[x, y] - flow[x, y] > 0:
+        for x in queue:
+            if prev[sink] != -1:
+                break
+            for y, r in res[x].items():  # ascending scan fixes the augmenting path
+                if r > 0 and prev[y] == -1:
                     prev[y] = x
                     queue.append(y)
         if prev[sink] == -1:
@@ -128,18 +156,16 @@ def _split_flow(g: Graph, s: int, t: int) -> tuple[int, np.ndarray]:
         y = sink
         while y != source:
             x = prev[y]
-            flow[x, y] += 1
-            flow[y, x] -= 1
+            res[x][y] -= 1
+            res[y][x] += 1
             y = x
         total += 1
-    return total, flow
+    return total, cap, res
 
 
 def local_connectivity(g: Graph, s: int, t: int) -> int:
     """Maximum number of internally disjoint s-t paths (Menger)."""
-    if not (0 <= s < g.n and 0 <= t < g.n) or s == t:
-        raise VertexSetError(f"need two distinct vertices in range, got {s}, {t}")
-    total, _ = _split_flow(g, s, t)
+    total, _, _ = _split_flow(g, s, t)
     return total
 
 
@@ -160,32 +186,28 @@ def inner_disjoint_paths(g: Graph, s: int, t: int, k: int | None = None) -> Path
     """Decompose a max flow into explicit paths; k caps how many to return.
 
     Paths are reported sorted by their vertex sequence, each oriented from
-    s to t. Raises GraphError if fewer than k exist.
+    s to t. Raises VertexSetError unless s and t are two distinct
+    vertices, and GraphError if fewer than k paths exist.
     """
-    total, flow = _split_flow(g, s, t)
+    total, cap, res = _split_flow(g, s, t)
     if k is not None and total < k:
         raise GraphError(f"only {total} internally disjoint {s}-{t} paths exist, need {k}")
     want = total if k is None else k
-    nn = 2 * g.n
+    sink = 2 * t
     paths = []
-    used = np.zeros((nn, nn), dtype=bool)
     for _ in range(want):
         path = [s]
         x = 2 * s + 1
-        sink = 2 * t
         while x != sink:
-            nxt = -1
-            for y in range(nn):
-                if flow[x, y] > 0 and not used[x, y]:
-                    nxt = y
-                    break
+            # x is an out-node, whose arcs all end at in-nodes and carry
+            # at most one unit; taking a unit back marks the arc used
+            nxt = next((y for y, r in res[x].items() if r < cap[x][y]), -1)
             if nxt == -1:
                 raise GraphError("flow decomposition failed; internal error")
-            used[x, nxt] = True
-            if nxt % 2 == 0 and nxt != sink:
+            res[x][nxt] += 1
+            if nxt != sink:
                 path.append(nxt // 2)
                 nxt += 1  # pass through the split arc
-                used[nxt - 1, nxt] = True
             x = nxt
         path.append(t)
         paths.append(tuple(path))

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .canon import canonical_form
+from .connectivity import connected_within
 from .errors import OrderLimitError
 from .graphs import Graph, graph_from_graph6
 
@@ -93,6 +94,7 @@ def _k_may_be_deleted(parent_rows: tuple[int, ...], mask: int) -> bool:
     k = len(parent_rows)
     rows = [r | (mask >> u & 1) << k for u, r in enumerate(parent_rows)]
     rows.append(mask)
+    everyone = (1 << k + 1) - 1
     deg = [r.bit_count() for r in rows]
     dk = deg[k]
     fk = None
@@ -104,28 +106,13 @@ def _k_may_be_deleted(parent_rows: tuple[int, ...], mask: int) -> bool:
                 fk = _neighbour_degrees(rows[k], deg)
             if _neighbour_degrees(rows[v], deg) <= fk:
                 continue
-        if _connected_without(rows, v):
+        if connected_within(rows, everyone & ~(1 << v)):
             return False
     return True
 
 
 def _neighbour_degrees(row: int, deg: list[int]) -> list[int]:
     return sorted(deg[u] for u in range(len(deg)) if row >> u & 1)
-
-
-def _connected_without(rows: list[int], v: int) -> bool:
-    """Whether the graph on bitmask rows stays connected once v is deleted."""
-    alive = (1 << len(rows)) - 1 & ~(1 << v)
-    seen = frontier = alive & -alive
-    while frontier:
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            reach |= rows[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reach & alive & ~seen
-        seen |= frontier
-    return seen == alive
 
 
 def enumerate_graphs(

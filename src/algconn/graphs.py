@@ -68,12 +68,10 @@ class Graph:
             raise VertexSetError(f"vertex {v} outside range 0..{self.n - 1}")
         row = self._rows[v]
         out = []
-        u = 0
         while row:
-            if row & 1:
-                out.append(u)
-            row >>= 1
-            u += 1
+            low = row & -row
+            out.append(low.bit_length() - 1)
+            row ^= low
         return out
 
     def degree(self, v: int) -> int:

@@ -55,7 +55,7 @@ def interval_assignment(p1, offcycle, x) -> list[list[int]]:
     wider interval whose low end sits at that value. Each list comes back
     sorted ascending by (x, vertex index).
     """
-    vec = np.asarray(x, dtype=np.float64)
+    vec = np.asarray(x, dtype=np.float64).tolist()  # Python floats index faster
     p1 = list(p1)
     lo_all = min(vec[v] for v in p1)
     hi_all = max(vec[v] for v in p1)
@@ -131,10 +131,10 @@ class RewireCertificate:
     hamiltonian_case: bool
 
 
-def _quadratic_form(g: Graph, x: np.ndarray) -> float:
+def _quadratic_form(g: Graph, xs: list[float]) -> float:
     total = 0.0
     for u, v in g.edge_list:
-        d = x[u] - x[v]
+        d = xs[u] - xs[v]
         total += d * d
     return total
 
@@ -183,9 +183,10 @@ def rewire(g: Graph, f: FiedlerResult) -> RewireCertificate:
         g_prime = _thread(g.n, cycle, p1, lists, x)
         hamiltonian_case = False
 
-    q_g = _quadratic_form(g, x)
-    q_c = _quadratic_form(_cycle_on(g.n, cycle) if offcycle else g_prime, x)
-    q_gp = _quadratic_form(g_prime, x)
+    xs = x.tolist()
+    q_g = _quadratic_form(g, xs)
+    q_c = _quadratic_form(_cycle_on(g.n, cycle) if offcycle else g_prime, xs)
+    q_gp = _quadratic_form(g_prime, xs)
     if not (q_gp <= q_c + Q_CHAIN_SLACK and q_c <= q_g + Q_CHAIN_SLACK):
         raise RewireDefectError(
             f"quadratic-form chain violated: q_G' = {q_gp!r}, q_C = {q_c!r}, "

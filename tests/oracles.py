@@ -9,7 +9,10 @@ Householder + implicit-shift QL in scalar loops, not the LAPACK routine
 the package calls. plain_connected_codes is level construction without
 the augmentation acceptance test: it does use the package's canonical
 form, because what it checks is which classes the filtered generator
-reaches. Slow but trustworthy.
+reaches. dense_inner_disjoint_paths is the Menger decomposition the
+package used before its flow moved to adjacency lists: dense 2n x 2n
+capacity and flow matrices, every BFS step and every decomposition step
+scanning all 2n split nodes. Slow but trustworthy.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from math import comb, factorial
 import numpy as np
 
 from algconn.canon import canonical_form
+from algconn.connectivity import PathSystem
+from algconn.errors import GraphError
 from algconn.graphs import Graph, graph_from_graph6
 
 
@@ -361,6 +366,77 @@ def brute_local_connectivity(g, s: int, t: int) -> int:
 
     pick(0, 0, 0)
     return best
+
+
+def _dense_split_flow(g: Graph, s: int, t: int) -> tuple[int, np.ndarray]:
+    n = g.n
+    nn = 2 * n
+    cap = np.zeros((nn, nn), dtype=np.int64)
+    for v in range(n):
+        cap[2 * v, 2 * v + 1] = 1
+    cap[2 * s, 2 * s + 1] = n  # endpoints are not internal to any path
+    cap[2 * t, 2 * t + 1] = n
+    for u, v in g.edge_list:
+        cap[2 * u + 1, 2 * v] = 1
+        cap[2 * v + 1, 2 * u] = 1
+    source, sink = 2 * s + 1, 2 * t
+    flow = np.zeros((nn, nn), dtype=np.int64)
+    total = 0
+    while True:
+        prev = np.full(nn, -1, dtype=np.int64)
+        prev[source] = source
+        queue = [source]
+        qi = 0
+        while qi < len(queue) and prev[sink] == -1:
+            x = queue[qi]
+            qi += 1
+            for y in range(nn):  # ascending scan fixes the augmenting path
+                if prev[y] == -1 and cap[x, y] - flow[x, y] > 0:
+                    prev[y] = x
+                    queue.append(y)
+        if prev[sink] == -1:
+            break
+        y = sink
+        while y != source:
+            x = prev[y]
+            flow[x, y] += 1
+            flow[y, x] -= 1
+            y = x
+        total += 1
+    return total, flow
+
+
+def dense_inner_disjoint_paths(g: Graph, s: int, t: int, k: int | None = None) -> PathSystem:
+    """Menger paths from dense split-digraph matrices (node 2v = v_in, 2v+1 = v_out)."""
+    total, flow = _dense_split_flow(g, s, t)
+    if k is not None and total < k:
+        raise GraphError(f"only {total} internally disjoint {s}-{t} paths exist, need {k}")
+    want = total if k is None else k
+    nn = 2 * g.n
+    paths = []
+    used = np.zeros((nn, nn), dtype=bool)
+    for _ in range(want):
+        path = [s]
+        x = 2 * s + 1
+        sink = 2 * t
+        while x != sink:
+            nxt = -1
+            for y in range(nn):
+                if flow[x, y] > 0 and not used[x, y]:
+                    nxt = y
+                    break
+            if nxt == -1:
+                raise GraphError("flow decomposition failed; internal error")
+            used[x, nxt] = True
+            if nxt % 2 == 0 and nxt != sink:
+                path.append(nxt // 2)
+                nxt += 1  # pass through the split arc
+                used[nxt - 1, nxt] = True
+            x = nxt
+        path.append(t)
+        paths.append(tuple(path))
+    paths.sort()
+    return PathSystem(s=s, t=t, paths=tuple(paths))
 
 
 def scalar_eigensystem(a: np.ndarray, max_iter: int):

@@ -1,5 +1,6 @@
 """Cut vertices, Menger flow machinery, theta recognition, Hamiltonicity."""
 
+import itertools
 import random
 
 import networkx as nx
@@ -187,6 +188,11 @@ class TestInnerDisjointPaths:
         with pytest.raises(GraphError):
             inner_disjoint_paths(cycle(5), 0, 2, 3)
 
+    def test_bad_endpoints_rejected(self):
+        for s, t in ((1, 1), (-1, 2), (0, 5)):
+            with pytest.raises(VertexSetError):
+                inner_disjoint_paths(cycle(5), s, t)
+
     def test_deterministic_and_structural_random(self):
         rng = random.Random(37)
         checked = 0
@@ -200,6 +206,60 @@ class TestInnerDisjointPaths:
             assert_path_system(g, ps, k)
             assert ps == inner_disjoint_paths(g, u, v)
             checked += 1
+
+
+def random_ear_graph(rng, n):
+    """A 2-connected graph on n vertices: a cycle, open ears through new
+    vertices, then a few chords; labels shuffled."""
+    c = rng.randint(3, n)
+    edges = {(i, (i + 1) % c) for i in range(c)}
+    nxt = c
+    while nxt < n:
+        k = rng.randint(1, n - nxt)
+        a, b = rng.sample(range(nxt), 2)
+        path = [a, *range(nxt, nxt + k), b]
+        edges |= set(zip(path, path[1:]))
+        nxt += k
+    for _ in range(rng.randint(0, n // 2)):
+        u, v = rng.sample(range(n), 2)
+        if (v, u) not in edges:
+            edges.add((u, v))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return graph_from_edges(n, {tuple(sorted((perm[u], perm[v]))) for u, v in edges})
+
+
+def assert_matches_dense_oracle(g, s, t):
+    ps = inner_disjoint_paths(g, s, t)
+    assert ps == oracles.dense_inner_disjoint_paths(g, s, t), (g.to_graph6(), s, t)
+    assert local_connectivity(g, s, t) == ps.width
+    if ps.width > 2:  # rewiring asks for two paths of a wider system
+        assert inner_disjoint_paths(g, s, t, 2) == oracles.dense_inner_disjoint_paths(g, s, t, 2)
+
+
+class TestDenseFlowOracle:
+    """The adjacency-list flow returns exactly the dense-matrix path systems."""
+
+    def test_every_ordered_pair_of_connected_classes_to_n6(self):
+        for n in range(2, 7):
+            for g in enumerate_graphs(n, lambda _: True):
+                for s, t in itertools.permutations(range(n), 2):
+                    assert_matches_dense_oracle(g, s, t)
+
+    def test_random_ear_decompositions_n13_to_40(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            g = random_ear_graph(rng, rng.randint(13, 40))
+            assert is_biconnected(g)
+            for _ in range(3):
+                s, t = rng.sample(range(g.n), 2)
+                assert_matches_dense_oracle(g, s, t)
+
+    @pytest.mark.slow
+    def test_every_ordered_pair_of_connected_classes_n7(self):
+        for g in enumerate_graphs(7, lambda _: True):
+            for s, t in itertools.permutations(range(7), 2):
+                assert_matches_dense_oracle(g, s, t)
 
 
 class TestTheta:
@@ -264,8 +324,6 @@ class TestHamiltonian:
 
 
 def _brute_hamiltonian(g):
-    import itertools
-
     if g.n < 3:
         return False
     for perm in itertools.permutations(range(1, g.n)):
