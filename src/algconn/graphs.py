@@ -37,22 +37,30 @@ def _normalize_edge(u: int, v: int, n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph; vertices are 0..n-1, edges a frozenset."""
+    """Simple undirected graph; vertices are 0..n-1, edges a frozenset.
+
+    edges may be given as any iterable of (u, v) pairs: each is checked
+    once and stored as (min, max), and a repeated pair is an EdgeExistsError.
+    """
 
     n: int
     edges: frozenset[tuple[int, int]]
     _rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 0:
-            raise VertexSetError(f"vertex count must be a nonnegative int, got {self.n!r}")
-        rows = [0] * self.n
-        for e in self.edges:
-            u, v = _normalize_edge(e[0], e[1], self.n)
-            if (u, v) != tuple(e):
-                raise VertexSetError(f"edge {e!r} is not in sorted (u, v) form")
+        n = self.n
+        if not isinstance(n, int) or n < 0:
+            raise VertexSetError(f"vertex count must be a nonnegative int, got {n!r}")
+        rows = [0] * n
+        pairs = []
+        for u, v in self.edges:
+            u, v = _normalize_edge(u, v, n)
+            if rows[u] >> v & 1:
+                raise EdgeExistsError(f"duplicate edge {(u, v)} in input")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
+            pairs.append((u, v))
+        object.__setattr__(self, "edges", frozenset(pairs))
         object.__setattr__(self, "_rows", tuple(rows))
 
     @property
@@ -131,13 +139,7 @@ class Graph:
 
 def graph_from_edges(n: int, pairs) -> Graph:
     """Build a graph from any iterable of (u, v) pairs; rejects duplicates."""
-    seen: set[tuple[int, int]] = set()
-    for u, v in pairs:
-        e = _normalize_edge(u, v, n)
-        if e in seen:
-            raise EdgeExistsError(f"duplicate edge {e} in input")
-        seen.add(e)
-    return Graph(n, frozenset(seen))
+    return Graph(n, pairs)
 
 
 def add_graph(g: Graph, k: Graph) -> Graph:

@@ -27,7 +27,7 @@ from .connectivity import (
     is_connected,
 )
 from .errors import GraphError, RewireDefectError
-from .graphs import Graph, graph_from_edges
+from .graphs import Graph
 from .spectra import FiedlerResult, alpha_cycle_closed_form, fiedler_vector
 
 CHAIN_REL_TOL = 1e-15
@@ -131,9 +131,9 @@ class RewireCertificate:
     hamiltonian_case: bool
 
 
-def _quadratic_form(g: Graph, xs: list[float]) -> float:
+def _quadratic_form(pairs, xs: list[float]) -> float:
     total = 0.0
-    for u, v in g.edge_list:
+    for u, v in pairs:
         d = xs[u] - xs[v]
         total += d * d
     return total
@@ -156,11 +156,12 @@ def rewire(g: Graph, f: FiedlerResult) -> RewireCertificate:
     ps = inner_disjoint_paths(g, v_min, v_max, 2)
     p1, p2 = ps.paths[0], ps.paths[1]  # sorted order: p1 has the smaller second vertex
     cycle = tuple(p1) + tuple(reversed(p2[1:-1]))
+    cycle_pairs = _cycle_pairs(cycle)
     offcycle = sorted(set(range(g.n)) - set(cycle))
 
     if not offcycle:
         assignments = tuple(() for _ in range(len(p1) - 1))
-        g_prime = _cycle_on(g.n, cycle)
+        g_prime = Graph(g.n, cycle_pairs)
         hamiltonian_case = True
     else:
         lists = interval_assignment(p1, offcycle, x)
@@ -184,9 +185,9 @@ def rewire(g: Graph, f: FiedlerResult) -> RewireCertificate:
         hamiltonian_case = False
 
     xs = x.tolist()
-    q_g = _quadratic_form(g, xs)
-    q_c = _quadratic_form(_cycle_on(g.n, cycle) if offcycle else g_prime, xs)
-    q_gp = _quadratic_form(g_prime, xs)
+    q_g = _quadratic_form(g.edge_list, xs)
+    q_c = _quadratic_form(cycle_pairs, xs)
+    q_gp = _quadratic_form(g_prime.edge_list, xs)
     if not (q_gp <= q_c + Q_CHAIN_SLACK and q_c <= q_g + Q_CHAIN_SLACK):
         raise RewireDefectError(
             f"quadratic-form chain violated: q_G' = {q_gp!r}, q_C = {q_c!r}, "
@@ -213,11 +214,11 @@ def rewire(g: Graph, f: FiedlerResult) -> RewireCertificate:
     )
 
 
-def _cycle_on(n: int, seq: tuple[int, ...]) -> Graph:
+def _cycle_pairs(seq: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Edges of the cycle through seq as (min, max) pairs, sorted like edge_list."""
     if len(set(seq)) != len(seq):
         raise RewireDefectError(f"cycle sequence repeats a vertex: {seq!r}")
-    pairs = [(seq[i], seq[(i + 1) % len(seq)]) for i in range(len(seq))]
-    return graph_from_edges(n, pairs)
+    return sorted((min(a, b), max(a, b)) for a, b in zip(seq, seq[1:] + seq[:1]))
 
 
 def _thread(n, cycle, p1, lists, x) -> Graph:
@@ -234,7 +235,7 @@ def _thread(n, cycle, p1, lists, x) -> Graph:
             seq.extend(lst)
         else:
             seq.extend(reversed(lst))
-    return _cycle_on(n, tuple(seq))
+    return Graph(n, _cycle_pairs(tuple(seq)))
 
 
 @dataclass(frozen=True)

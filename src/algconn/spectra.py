@@ -90,7 +90,8 @@ def fiedler_vector(g: Graph) -> FiedlerResult:
         raise DisconnectedGraphError(
             "Fiedler vector of a disconnected graph is ill-posed (alpha = 0)"
         )
-    dec = laplacian_spectrum(g)
+    lap = g.laplacian().astype(np.float64)
+    dec = eigen_symmetric(lap)
     alpha = float(dec.eigenvalues[1])
     tol = multiplicity_tolerance(g.n)
     multiplicity = int(np.sum(np.abs(dec.eigenvalues - alpha) <= tol))
@@ -100,7 +101,6 @@ def fiedler_vector(g: Graph) -> FiedlerResult:
     lead = int(np.argmax(np.abs(vec)))
     if vec[lead] < 0.0:
         vec = -vec
-    lap = g.laplacian().astype(np.float64)
     residual = float(np.max(np.abs(lap @ vec - alpha * vec)))
     return FiedlerResult(alpha=alpha, vector=vec, multiplicity=multiplicity, residual=residual)
 

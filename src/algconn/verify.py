@@ -7,15 +7,30 @@ The theta sweep does the same over theta graphs, keyed by path-length
 triples, where the equality set is exactly the triples containing a
 length-1 path.
 
-Equality is never decided by floating point alone: a numeric near-tie is
-only a filter, and the verdict comes from canonical-form identity with a
-family member. Anything numerically ambiguous lands in the report's
-flagged list, and a passing run has an empty one.
+Both sweeps build their rows with one function, and every row, computed
+or resumed from a checkpoint, gets one verdict. The verdict knows the
+family member the graph is, or that it is none, from canonical-form
+identity (biconnected sweep) or from its triple (theta sweep): floating
+point alone never decides equality. Its policy:
+
+- a gap alpha - alpha(C_n) below -bound_slack raises VerificationError;
+- so does a family member whose gap lies outside equal_tol;
+- a gap within equal_tol without a family member is flagged;
+- a family member whose gap lies outside strict_margin is flagged (the
+  ambiguity band);
+- a non-Hamiltonian graph whose gap is at most strict_margin is flagged:
+  the rewired graph G' is a spanning cycle, so the rewiring drop
+  alpha(G) - alpha(G') equals the gap.
+
+Flagged rows land in the report's flagged list, and a passing run has an
+empty one. The theta sweep once raised on a numeric tie without a family
+member; it now flags it, and the CLI exits 1 either way.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import csv
 import io
 import json
@@ -27,7 +42,7 @@ from functools import lru_cache
 from .canon import canonical_form
 from .connectivity import hamiltonian_cycle, is_biconnected
 from .enumeration import CanonicalCode, enumerate_graphs
-from .errors import VerificationError
+from .errors import AlgConnError, VerificationError
 from .families import (
     FamilyKind,
     FamilySpec,
@@ -96,90 +111,104 @@ def _family_code_map(n: int) -> dict[str, FamilySpec]:
     return {code: spec for spec, _, code in equality_family_specs(n)}
 
 
-def _classify(code: str, gap: float, n: int, margins: Margins) -> EqualityClass:
-    if abs(gap) > margins.equal_tol:
-        return EqualityClass(NOT_EXTREMAL, None, gap)
-    spec = _family_code_map(n).get(code)
-    if spec is None:
-        return EqualityClass(
-            NOT_EXTREMAL,
-            None,
-            gap,
-            flagged=True,
-            flag_reason="alpha matches the cycle but no equality family member does",
-        )
-    return _family_match(spec, gap, margins)
-
-
-def _family_match(spec: FamilySpec, gap: float, margins: Margins) -> EqualityClass:
-    """Verdict for a family member; flagged when its gap is in the ambiguity band."""
-    if abs(gap) > margins.strict_margin:
-        return EqualityClass(
-            str(spec.kind),
-            spec,
-            gap,
-            flagged=True,
-            flag_reason="family match with alpha gap inside the ambiguity band",
-        )
-    return EqualityClass(str(spec.kind), spec, gap)
-
-
-def classify_equality(g: Graph, margins: Margins = Margins()) -> EqualityClass:
-    """Equality verdict for one biconnected graph: family label or not_extremal."""
-    if not is_biconnected(g):
-        raise VerificationError("equality classification expects a biconnected graph")
-    alpha = fiedler_vector(g).alpha
-    gap = alpha - alpha_cycle_closed_form(g.n)
-    return _classify(canonical_form(g), gap, g.n, margins)
-
-
-def _biconnected_verdict(
-    code_g6: str, n: int, alpha: float, hamiltonian: bool, drop: float, margins: Margins
+def _verdict(
+    code: str, n: int, alpha: float, spec: FamilySpec | None, hamiltonian: bool, margins: Margins
 ) -> EqualityClass:
-    """Bound check and equality verdict of a biconnected sweep row.
+    """Bound check and equality verdict of one order-n graph (module docstring).
 
-    Computed rows and rows resumed from a checkpoint both pass through here.
+    spec is the family member the graph is known to be, or None; code
+    names the graph in errors.
     """
     alpha_ref = alpha_cycle_closed_form(n)
     gap = alpha - alpha_ref
     if gap < -margins.bound_slack:
         raise VerificationError(
-            f"lower bound violated at {code_g6}: alpha = {alpha!r} < "
+            f"lower bound violated at {code}: alpha = {alpha!r} < "
             f"alpha(C_{n}) = {alpha_ref!r}"
         )
-    eq = _classify(code_g6, gap, n, margins)
-    if not hamiltonian and drop <= margins.strict_margin:
-        eq = replace(
-            eq,
-            flagged=True,
-            flag_reason="non-Hamiltonian graph whose rewiring drop is inside the margin",
+    reason = None
+    if spec is None:
+        if abs(gap) <= margins.equal_tol:
+            reason = "alpha matches the cycle but no equality family member does"
+    elif abs(gap) > margins.equal_tol:
+        raise VerificationError(
+            f"equality mismatch at {code}: gap {gap!r} outside equal_tol for {spec.to_text()}"
         )
-    return eq
+    elif abs(gap) > margins.strict_margin:
+        reason = "family match with alpha gap inside the ambiguity band"
+    if not hamiltonian and gap <= margins.strict_margin:
+        reason = "non-Hamiltonian graph whose rewiring drop is inside the margin"
+    label = NOT_EXTREMAL if spec is None else str(spec.kind)
+    return EqualityClass(label, spec, gap, flagged=reason is not None, flag_reason=reason)
+
+
+@contextlib.contextmanager
+def _stage(stage: str, name: str):
+    """Prefix an AlgConnError raised inside with the stage and the graph's name."""
+    try:
+        yield
+    except AlgConnError as exc:
+        exc.args = (f"{stage} failed at {name}: {exc}",)
+        raise
+
+
+def _row(
+    g: Graph,
+    code: str,
+    spec: FamilySpec | None,
+    hamiltonian: bool,
+    margins: Margins,
+    triple: tuple[int, int, int] | None = None,
+) -> SweepRow:
+    """Fiedler vector, verdict and rewiring certificate of one sweep graph.
+
+    code is g's row key, spec the family member g is known to be (or
+    None), and triple g's path lengths when it is a theta graph.
+    """
+    name = code if triple is None else f"theta{triple} ({code})"
+    with _stage("fiedler_vector", name):
+        f = fiedler_vector(g)
+    eq = _verdict(name, g.n, f.alpha, spec, hamiltonian, margins)
+    with _stage("rewire", name):
+        cert = rewire(g, f)
+    return SweepRow(
+        code=CanonicalCode(g.n, code),
+        alpha=f.alpha,
+        equality=eq,
+        hamiltonian=hamiltonian,
+        rewire_drop=cert.alpha_g - cert.alpha_gprime,
+        alpha_gprime=cert.alpha_gprime,
+        triple=triple,
+    )
+
+
+def classify_equality(g: Graph, margins: Margins = Margins()) -> EqualityClass:
+    """Equality verdict for one biconnected graph: family label or not_extremal.
+
+    This is the verdict a biconnected sweep gives g's class, computed on
+    its canonical labeling, so it raises VerificationError where that
+    sweep would.
+    """
+    if not is_biconnected(g):
+        raise VerificationError("equality classification expects a biconnected graph")
+    return _biconnected_row(canonical_form(g), g.n, margins).equality
 
 
 def _biconnected_row(code_g6: str, n: int, margins: Margins) -> SweepRow:
     g = graph_from_graph6(code_g6)
-    f = fiedler_vector(g)
-    ham = hamiltonian_cycle(g) is not None
-    cert = rewire(g, f)
-    drop = cert.alpha_g - cert.alpha_gprime
-    return SweepRow(
-        code=CanonicalCode(n, code_g6),
-        alpha=f.alpha,
-        equality=_biconnected_verdict(code_g6, n, f.alpha, ham, drop, margins),
-        hamiltonian=ham,
-        rewire_drop=drop,
-        alpha_gprime=cert.alpha_gprime,
-    )
+    spec = _family_code_map(n).get(code_g6)
+    return _row(g, code_g6, spec, hamiltonian_cycle(g) is not None, margins)
 
 
 def _load_checkpoint(path: str, n: int, margins: Margins) -> dict[str, SweepRow]:
     """Rows of an earlier run of the order-n sweep, re-checked under margins.
 
-    The sweep ends every row with a newline, so text after the last newline
-    is a row cut short by an interrupt: it is dropped, and the file is
-    truncated to the last complete line so new rows append cleanly. Any
-    other line that does not hold a valid row raises VerificationError.
+    Every field but alpha must equal its value derived again; a spanning
+    G' makes rewire_drop the gap and alpha_gprime alpha(C_n). Rows end in
+    a newline, so text after the last one is a row cut short by an
+    interrupt: it is dropped, and the file is truncated to the last
+    complete line so new rows append cleanly. Any other line that does not
+    hold a valid row raises VerificationError.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -188,24 +217,30 @@ def _load_checkpoint(path: str, n: int, margins: Margins) -> dict[str, SweepRow]
     if torn:
         with open(path, "r+b") as fh:
             fh.truncate(len(data) - len(torn))
+    alpha_ref = alpha_cycle_closed_form(n)
     done: dict[str, SweepRow] = {}
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
             row = _row_from_dict(json.loads(line))
+            code = row.code.code
             if row.code.n != n:
                 raise VerificationError(f"row is for n = {row.code.n}, not {n}")
-            eq = _biconnected_verdict(
-                row.code.code, n, row.alpha, row.hamiltonian, row.rewire_drop, margins
-            )
-            if eq.alpha_gap != row.equality.alpha_gap:
-                raise VerificationError(
-                    f"gap {row.equality.alpha_gap!r} does not match alpha {row.alpha!r}"
-                )
+            ham = hamiltonian_cycle(graph_from_graph6(code)) is not None
+            eq = _verdict(code, n, row.alpha, _family_code_map(n).get(code), ham, margins)
+            for field, value, derived in (
+                ("gap", row.equality.alpha_gap, eq.alpha_gap),
+                ("hamiltonian", row.hamiltonian, ham),
+                ("rewire_drop", row.rewire_drop, eq.alpha_gap),
+                ("alpha_gprime", row.alpha_gprime, alpha_ref),
+                ("triple", row.triple, None),
+            ):
+                if value != derived:
+                    raise VerificationError(f"{field} {value!r} does not match {derived!r}")
         except (ValueError, KeyError, TypeError, VerificationError) as exc:
             raise VerificationError(f"checkpoint {path}, line {lineno}: {exc}") from exc
-        done[row.code.code] = replace(row, equality=eq)
+        done[code] = replace(row, equality=eq)
     return done
 
 
@@ -220,7 +255,7 @@ def verify_theorem_1(
     Raises VerificationError on any bound violation or when the equality
     set differs from the chorded-cycle families. Rows stream to the
     checkpoint file as they finish, so an interrupted sweep resumes there;
-    resumed rows get the same bound check and verdict as computed ones.
+    resumed rows get the same checks and verdict as computed ones.
     """
     if not 4 <= n <= 9:
         raise VerificationError(f"biconnected sweep covers 4 <= n <= 9, got n = {n}")
@@ -230,31 +265,20 @@ def verify_theorem_1(
     if checkpoint and os.path.exists(checkpoint):
         done = _load_checkpoint(checkpoint, n, margins)
     todo = [c for c in codes if c not in done]
-    # line-buffered: each finished row reaches the file before the next
-    # starts, so an interrupted sweep loses none of them
-    sink = open(checkpoint, "a", encoding="ascii", buffering=1) if checkpoint else None
-    try:
+    args = (todo, [n] * len(todo), [margins] * len(todo))
+    with contextlib.ExitStack() as stack:
+        # line-buffered: each finished row reaches the file before the next
+        # starts, so an interrupted sweep loses none of them
+        sink = checkpoint and stack.enter_context(open(checkpoint, "a", encoding="ascii", buffering=1))
         if jobs > 1 and todo:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                for row in pool.map(
-                    _biconnected_row,
-                    todo,
-                    [n] * len(todo),
-                    [margins] * len(todo),
-                    chunksize=max(1, len(todo) // (4 * jobs)),
-                ):
-                    done[row.code.code] = row
-                    if sink:
-                        sink.write(json.dumps(_row_to_dict(row)) + "\n")
+            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=jobs))
+            results = pool.map(_biconnected_row, *args, chunksize=max(1, len(todo) // (4 * jobs)))
         else:
-            for code in todo:
-                row = _biconnected_row(code, n, margins)
-                done[row.code.code] = row
-                if sink:
-                    sink.write(json.dumps(_row_to_dict(row)) + "\n")
-    finally:
-        if sink:
-            sink.close()
+            results = map(_biconnected_row, *args)
+        for row in results:
+            done[row.code.code] = row
+            if sink:
+                sink.write(json.dumps(_row_to_dict(row)) + "\n")
     rows = tuple(done[c] for c in codes)
     expected = set(_family_code_map(n))
     attained = {r.code.code for r in rows if r.equality.label != NOT_EXTREMAL and not r.equality.flagged}
@@ -267,44 +291,15 @@ def verify_theorem_1(
 
 
 def _theta_row(triple: tuple[int, int, int], margins: Margins) -> SweepRow:
-    spec = FamilySpec(FamilyKind.THETA, sum(triple) - 1, triple)
-    g = realize(spec)
-    n = g.n
+    g = realize(FamilySpec(FamilyKind.THETA, sum(triple) - 1, triple))
     # triples are complete isomorphism invariants for theta graphs, so for
     # orders past the canonical-form cap the constructed labeling's code
     # stands in as the row key
-    code = canonical_form(g) if n <= 12 else g.to_graph6()
-    f = fiedler_vector(g)
-    alpha_ref = alpha_cycle_closed_form(n)
-    gap = f.alpha - alpha_ref
-    if gap < -margins.bound_slack:
-        raise VerificationError(
-            f"lower bound violated at theta{triple}: alpha = {f.alpha!r} < "
-            f"alpha(C_{n}) = {alpha_ref!r}"
-        )
-    numeric_equal = abs(gap) <= margins.equal_tol
-    chord_spec = single_chord_spec_for_triple(triple)
-    if numeric_equal != (chord_spec is not None):
-        raise VerificationError(
-            f"equality mismatch at theta{triple}: numeric gap {gap!r} vs "
-            f"family spec {chord_spec!r}"
-        )
-    if chord_spec is not None:
-        eq = _family_match(chord_spec, gap, margins)
-    else:
-        eq = EqualityClass(NOT_EXTREMAL, None, gap)
-    cert = rewire(g, f)
-    return SweepRow(
-        code=CanonicalCode(n, code),
-        alpha=f.alpha,
-        equality=eq,
-        # a theta graph has a spanning cycle exactly when its third path is
-        # a bare edge: any cycle in it is the union of two of the paths
-        hamiltonian=triple[0] == 1,
-        rewire_drop=cert.alpha_g - cert.alpha_gprime,
-        alpha_gprime=cert.alpha_gprime,
-        triple=triple,
-    )
+    code = canonical_form(g) if g.n <= 12 else g.to_graph6()
+    spec = single_chord_spec_for_triple(triple)
+    # a theta graph has a spanning cycle exactly when its third path is
+    # a bare edge: any cycle in it is the union of two of the paths
+    return _row(g, code, spec, triple[0] == 1, margins, triple)
 
 
 def verify_theorem_2(n_max: int, margins: Margins = Margins()) -> list[VerificationReport]:

@@ -167,9 +167,10 @@ class TestVerify:
         assert all(r["schema"] == 1 for r in payload)
 
     def test_wide_tolerance_flags_and_exits_1(self, capsys):
-        code, out, err = run(capsys, "verify", "t1", "--n", "4", "--tol", "10.0")
-        assert code == 1
-        assert "FLAGGED" in err
+        for sweep in (("t1", "--n", "4"), ("t2", "--n-max", "6")):
+            code, out, err = run(capsys, "verify", *sweep, "--tol", "10.0")
+            assert code == 1
+            assert "FLAGGED" in err
 
     def test_out_of_range_exits_1(self, capsys):
         code, _, err = run(capsys, "verify", "t1", "--n", "3")

@@ -32,6 +32,14 @@ def cycle(n):
     return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def graph_direct(n, pairs):
+    return Graph(n, frozenset(pairs))
+
+
+# every way to build a Graph from pairs goes through one edge check
+CONSTRUCTORS = (graph_from_edges, graph_direct)
+
+
 def random_graph(rng, n, p=0.5):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return graph_from_edges(n, pairs)
@@ -55,16 +63,33 @@ class TestGraphBasics:
         assert g.m == 0 and g.n == 2
 
     def test_rejects_loop(self):
-        with pytest.raises(VertexSetError):
-            graph_from_edges(3, [(1, 1)])
+        for build in CONSTRUCTORS:
+            with pytest.raises(VertexSetError):
+                build(3, [(1, 1)])
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(VertexSetError):
-            graph_from_edges(3, [(0, 3)])
+        for build in CONSTRUCTORS:
+            for pair in ((0, 3), (-1, 2)):
+                with pytest.raises(VertexSetError):
+                    build(3, [pair])
+
+    def test_rejects_non_int_label(self):
+        for build in CONSTRUCTORS:
+            for pair in ((0, 1.0), ("0", 1), (None, 2)):
+                with pytest.raises(VertexSetError):
+                    build(3, [pair])
 
     def test_rejects_duplicate_edge(self):
+        for build in CONSTRUCTORS:
+            with pytest.raises(EdgeExistsError):
+                build(3, [(0, 1), (1, 0)])
         with pytest.raises(EdgeExistsError):
-            graph_from_edges(3, [(0, 1), (1, 0)])
+            graph_from_edges(3, [(0, 1), (0, 1)])
+
+    def test_direct_construction_sorts_pairs(self):
+        g = Graph(3, frozenset({(2, 0), (1, 2)}))
+        assert g.edges == frozenset({(0, 2), (1, 2)})
+        assert g == graph_from_edges(3, [(0, 2), (1, 2)])
 
     def test_edge_list_sorted(self):
         g = graph_from_edges(4, [(2, 3), (0, 1), (1, 3)])

@@ -3,16 +3,22 @@
 import csv
 import io
 import json
+import math
+from pathlib import Path
 
 import pytest
 
+from algconn.canon import canonical_form
 from algconn.connectivity import hamiltonian_cycle, is_biconnected
-from algconn.errors import VerificationError
+from algconn.enumeration import enumerate_graphs
+from algconn.errors import ConvergenceError, RewireDefectError, VerificationError
 from algconn.families import (
     FamilyKind,
     FamilySpec,
     cycle_graph,
     equality_family_specs,
+    parse_family_text,
+    realize,
     theta_triples,
 )
 from algconn.graphs import graph_from_edges, graph_from_graph6
@@ -199,6 +205,22 @@ def test_checkpoint_row_below_bound_rejected(tmp_path):
         verify_theorem_1(5, checkpoint=str(cp))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("hamiltonian", True), ("rewire_drop", 123.0), ("alpha_gprime", -7.0), ("triple", [1, 2, 3])],
+)
+def test_checkpoint_derived_field_edit_rejected(tmp_path, field, value):
+    # every reported field of a resumed row is derived again, not trusted
+    cp = tmp_path / "sweep5.jsonl"
+    verify_theorem_1(5, checkpoint=str(cp))
+    lines = cp.read_text().splitlines()
+    k = next(i for i, line in enumerate(lines) if not json.loads(line)["hamiltonian"])
+    lines[k] = _edit_row(lines[k], **{field: value})
+    cp.write_text("\n".join(lines) + "\n")
+    with pytest.raises(VerificationError, match=f"line {k + 1}: {field} "):
+        verify_theorem_1(5, checkpoint=str(cp))
+
+
 def test_checkpoint_resumed_rows_follow_current_margins(tmp_path):
     cp = tmp_path / "sweep5.jsonl"
     verify_theorem_1(5, checkpoint=str(cp))
@@ -267,6 +289,41 @@ def test_sweep_raises_when_equality_member_lands_in_band():
         verify_theorem_1(4, Margins(strict_margin=1e-30))
 
 
+@pytest.mark.parametrize(
+    "sweep, match",
+    [
+        (lambda m: verify_theorem_1(5, m), r"equality mismatch at D\S+: gap .* h1:n=5:i=1"),
+        (lambda m: verify_theorem_2(6, m), r"equality mismatch at theta\(1, 2, 2\) \(C\S\): gap"),
+    ],
+    ids=["t1", "t2"],
+)
+def test_sweep_raises_when_family_member_misses_filter(sweep, match):
+    # equal_tol = 1e-30 admits only exact zero gaps; the first family member
+    # whose gap is a few ulps off zero must raise
+    with pytest.raises(VerificationError, match=match):
+        sweep(Margins(equal_tol=1e-30))
+
+
+@pytest.mark.parametrize(
+    "stage, error", [("fiedler_vector", ConvergenceError), ("rewire", RewireDefectError)]
+)
+@pytest.mark.parametrize("theorem", ["t1", "t2"])
+def test_row_errors_name_stage_and_graph(monkeypatch, stage, error, theorem):
+    def fails(*args):
+        raise error("boom")
+
+    monkeypatch.setattr(verify, stage, fails)
+    if theorem == "t1":
+        name = next(enumerate_graphs(4, is_biconnected)).to_graph6()
+        sweep = lambda: verify_theorem_1(4)
+    else:
+        name = f"theta(1, 2, 2) ({canonical_form(realize(parse_family_text('theta:1,2,2')))})"
+        sweep = lambda: verify_theorem_2(4)
+    with pytest.raises(error) as info:
+        sweep()
+    assert str(info.value) == f"{stage} failed at {name}: boom"
+
+
 def test_sweep_flags_weak_rewiring_drop():
     # demand an absurd drop: both non-Hamiltonian classes at n = 5 get flagged
     report = verify_theorem_1(5, Margins(strict_margin=1.0))
@@ -293,6 +350,16 @@ def test_theta_sweep_equality_triples():
             assert row.hamiltonian == (row.triple[0] == 1)
             assert (row.equality.label != NOT_EXTREMAL) == (row.triple[0] == 1)
             assert row.alpha >= report.alpha_cycle - 1e-10
+
+
+def test_theta_sweep_flags_ties_without_family_member():
+    # a wide filter makes every triple a numeric tie; only l1 = 1 has a member
+    for report in verify_theorem_2(6, Margins(equal_tol=10.0)):
+        no_member = [r for r in report.rows if r.triple[0] >= 2]
+        assert report.flagged == tuple(sorted(r.code.code for r in no_member))
+        for row in no_member:
+            assert row.equality.label == NOT_EXTREMAL
+            assert "no equality family member" in row.equality.flag_reason
 
 
 def test_theta_sweep_rows_sorted_by_code():
@@ -355,3 +422,36 @@ def test_row_dict_roundtrip(t1_small):
     for report in verify_theorem_2(5):
         for row in report.rows:
             assert _row_from_dict(_row_to_dict(row)) == row
+
+
+# ---------------------------------------------------------------------------
+# golden reports: `verify t1 --n 6` and `verify t2 --n-max 10` JSON
+# ---------------------------------------------------------------------------
+
+DATA = Path(__file__).parent / "data"
+
+
+def _assert_matches_golden(got, want, where="report"):
+    """Equal apart from runtime; floats within 1e-12, everything else exact."""
+    if isinstance(want, float):
+        assert isinstance(got, float) and math.isclose(got, want, rel_tol=0.0, abs_tol=1e-12), where
+    elif isinstance(want, dict):
+        assert set(got) == set(want), where
+        for key in want.keys() - {"runtime"}:
+            _assert_matches_golden(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (a, b) in enumerate(zip(got, want)):
+            _assert_matches_golden(a, b, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, where
+
+
+def test_t1_report_matches_golden(t1_small):
+    want = json.loads((DATA / "verify_t1_n6.json").read_text())
+    _assert_matches_golden(report_to_dict(t1_small[6]), want)
+
+
+def test_t2_report_matches_golden():
+    want = json.loads((DATA / "verify_t2_nmax10.json").read_text())
+    _assert_matches_golden([report_to_dict(r) for r in verify_theorem_2(10)], want)
