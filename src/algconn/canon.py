@@ -14,7 +14,7 @@ forms are equal.
 from __future__ import annotations
 
 from .errors import OrderLimitError
-from .graphs import Graph, _g6_size_bytes
+from .graphs import Graph, graph6_from_bits
 
 ORDER_LIMIT = 12
 
@@ -25,20 +25,9 @@ def canonical_form(g: Graph) -> str:
         raise OrderLimitError(
             f"canonical form is exhaustive and capped at n = {ORDER_LIMIT}, got n = {g.n}"
         )
-    bits = canon_min_bits([[r >> v & 1 for v in range(g.n)] for r in g._rows])
-    out = bytearray(_g6_size_bytes(g.n))
-    acc = 0
-    nacc = 0
-    for b in bits:
-        acc = acc << 1 | b
-        nacc += 1
-        if nacc == 6:
-            out.append(acc + 63)
-            acc = 0
-            nacc = 0
-    if nacc:
-        out.append((acc << (6 - nacc)) + 63)
-    return out.decode("ascii")
+    return graph6_from_bits(
+        g.n, canon_min_bits([[r >> v & 1 for v in range(g.n)] for r in g._rows])
+    )
 
 
 def degree_profile(g: Graph) -> tuple[int, ...]:

@@ -124,17 +124,16 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify(args) -> int:
     margins = Margins(equal_tol=args.tol)
+    # t1 prints one report object; t2 prints a list, one report per order
     if args.verify_command == "t1":
         reports = [
             verify_theorem_1(
                 args.n, margins, jobs=args.jobs, checkpoint=args.checkpoint
             )
         ]
-    else:
-        reports = verify_theorem_2(args.n_max, margins)
-    if len(reports) == 1:
         body = report_to_json(reports[0])
     else:
+        reports = verify_theorem_2(args.n_max, margins)
         body = json.dumps(
             [report_to_dict(r) for r in reports], indent=2, sort_keys=True
         )

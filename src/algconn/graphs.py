@@ -174,28 +174,30 @@ def path_graph(n: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _g6_size_bytes(n: int) -> bytes:
-    if n <= 62:
-        return bytes([n + 63])
-    raise Graph6Error(f"graph6 support here stops at n = 62, got n = {n}")
+def graph6_from_bits(n: int, bits) -> str:
+    """graph6 text of order n from its 0/1 upper-triangle bits in graph6
+    order: for v = 1..n-1, the bits of pairs (0,v), .., (v-1,v)."""
+    if n > 62:
+        raise Graph6Error(f"graph6 support here stops at n = 62, got n = {n}")
+    out = bytearray([n + 63])
+    acc = 0
+    nacc = 0
+    for b in bits:
+        acc = acc << 1 | b
+        nacc += 1
+        if nacc == 6:
+            out.append(acc + 63)
+            acc = 0
+            nacc = 0
+    if nacc:
+        out.append((acc << (6 - nacc)) + 63)
+    return out.decode("ascii")
 
 
 def graph_to_graph6(g: Graph) -> str:
     """Encode in graph6: size byte, then the column-major upper triangle."""
-    out = bytearray(_g6_size_bytes(g.n))
-    bits = 0
-    nbits = 0
-    for v in range(1, g.n):
-        for u in range(v):
-            bits = bits << 1 | (g._rows[u] >> v & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(bits + 63)
-                bits = 0
-                nbits = 0
-    if nbits:
-        out.append((bits << (6 - nbits)) + 63)
-    return out.decode("ascii")
+    rows = g._rows
+    return graph6_from_bits(g.n, [rows[u] >> v & 1 for v in range(1, g.n) for u in range(v)])
 
 
 def graph_from_graph6(text: str) -> Graph:

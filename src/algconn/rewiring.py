@@ -3,10 +3,11 @@ quadratic form under the original Fiedler vector is no larger.
 
 The construction: take the vertices v_min, v_max carrying the extreme
 Fiedler values, join them by two inner-disjoint paths P1, P2 (their union
-is a cycle C), then thread every off-cycle vertex into an edge of P1 whose
-x-interval covers its value, in ascending x order. Replacing each such P1
-edge by its threaded path only refines increments, so by the squared
-telescoping inequality the quadratic form cannot grow. The result G' is a
+is a cycle C), then thread every off-cycle vertex into the first edge of P1
+whose x-interval covers its value, in ascending x order. Replacing each such
+P1 edge by its threaded path only refines increments, so by the squared
+telescoping inequality the quadratic form cannot grow. A Hamiltonian
+P1 u P2 is the case with nothing to thread, and G' = C. The result G' is a
 spanning cycle, checked before the certificate is issued, so its algebraic
 connectivity is alpha(C_n) and comes from the closed form. For
 non-Hamiltonian inputs it drops strictly below the input's, which the
@@ -28,7 +29,7 @@ from .connectivity import (
 )
 from .errors import GraphError, RewireDefectError
 from .graphs import Graph
-from .spectra import FiedlerResult, alpha_cycle_closed_form, fiedler_vector
+from .spectra import FiedlerResult, alpha_cycle_closed_form, fiedler_vector, quadratic_form
 
 CHAIN_REL_TOL = 1e-15
 Q_CHAIN_SLACK = 1e-12
@@ -49,41 +50,30 @@ def extreme_vertices(x) -> tuple[int, int]:
 def interval_assignment(p1, offcycle, x) -> list[list[int]]:
     """Distribute off-cycle vertices over consecutive P1 pairs by x-value.
 
-    A vertex v goes to the first pair (in P1 order) whose x-interval
-    satisfies low < x(v) <= high. Vertices at the global minimum value
-    match no such pair and fall back to the first pair with a strictly
-    wider interval whose low end sits at that value. Each list comes back
-    sorted ascending by (x, vertex index).
+    With lo <= hi the x-values at the ends of a pair and lo_all the least
+    x-value on P1, a vertex v goes to the first pair (in P1 order) with
+    lo < x(v) <= hi, or with lo_all == lo == x(v) < hi. The first clause
+    places every x(v) above lo_all, the second every x(v) at it. Each list
+    comes back sorted ascending by (x, vertex index).
     """
     vec = np.asarray(x, dtype=np.float64).tolist()  # Python floats index faster
     p1 = list(p1)
     lo_all = min(vec[v] for v in p1)
     hi_all = max(vec[v] for v in p1)
-    lists: list[list[int]] = [[] for _ in range(len(p1) - 1)]
+    bounds = [(min(vec[a], vec[b]), max(vec[a], vec[b])) for a, b in zip(p1, p1[1:])]
+    lists: list[list[int]] = [[] for _ in bounds]
     for v in sorted(offcycle, key=lambda v: (vec[v], v)):
-        if not lo_all <= vec[v] <= hi_all:
+        xv = vec[v]
+        if not lo_all <= xv <= hi_all:
             raise GraphError(
-                f"off-cycle vertex {v} has x = {vec[v]!r} outside the extreme "
+                f"off-cycle vertex {v} has x = {xv!r} outside the extreme "
                 f"range [{lo_all!r}, {hi_all!r}]; not a Fiedler vector of this graph"
             )
-        placed = False
-        for w in range(len(p1) - 1):
-            lo = min(vec[p1[w]], vec[p1[w + 1]])
-            hi = max(vec[p1[w]], vec[p1[w + 1]])
-            if lo < vec[v] <= hi:
-                lists[w].append(v)
-                placed = True
+        for lst, (lo, hi) in zip(lists, bounds):
+            if lo < xv <= hi or lo_all == lo == xv < hi:
+                lst.append(v)
                 break
-        if not placed:
-            # x(v) equals the global minimum: no pair strictly exceeds it
-            for w in range(len(p1) - 1):
-                lo = min(vec[p1[w]], vec[p1[w + 1]])
-                hi = max(vec[p1[w]], vec[p1[w + 1]])
-                if lo == vec[v] and hi > lo:
-                    lists[w].append(v)
-                    placed = True
-                    break
-        if not placed:
+        else:
             raise RewireDefectError(
                 f"vertex {v} fits no P1 interval; assignment must partition"
             )
@@ -131,14 +121,6 @@ class RewireCertificate:
     hamiltonian_case: bool
 
 
-def _quadratic_form(pairs, xs: list[float]) -> float:
-    total = 0.0
-    for u, v in pairs:
-        d = xs[u] - xs[v]
-        total += d * d
-    return total
-
-
 def rewire(g: Graph, f: FiedlerResult) -> RewireCertificate:
     """Build the spanning cycle G' and its quadratic-form certificate."""
     if g.n < 4:
@@ -149,45 +131,41 @@ def rewire(g: Graph, f: FiedlerResult) -> RewireCertificate:
     if x.shape != (g.n,):
         raise GraphError("Fiedler vector length does not match the graph")
     lap = g.laplacian().astype(np.float64)
-    if float(np.max(np.abs(lap @ x - f.alpha * x))) > 1e-6:
+    # inf or NaN input leaves a NaN residual, which fails every comparison,
+    # so the check is written to reject it
+    with np.errstate(invalid="ignore"):
+        resid = float(np.max(np.abs(lap @ x - f.alpha * x)))
+    if not resid <= 1e-6:
         raise GraphError("vector/alpha pair is not an eigenpair of this graph")
 
     v_min, v_max = extreme_vertices(x)
     ps = inner_disjoint_paths(g, v_min, v_max, 2)
     p1, p2 = ps.paths[0], ps.paths[1]  # sorted order: p1 has the smaller second vertex
     cycle = tuple(p1) + tuple(reversed(p2[1:-1]))
-    cycle_pairs = _cycle_pairs(cycle)
     offcycle = sorted(set(range(g.n)) - set(cycle))
 
-    if not offcycle:
-        assignments = tuple(() for _ in range(len(p1) - 1))
-        g_prime = Graph(g.n, cycle_pairs)
-        hamiltonian_case = True
-    else:
-        lists = interval_assignment(p1, offcycle, x)
-        flat = sorted(v for lst in lists for v in lst)
-        if flat != offcycle:
-            raise RewireDefectError(
-                f"assignment lists do not partition the off-cycle set: "
-                f"{lists!r} vs {offcycle!r}"
-            )
-        for w, lst in enumerate(lists):
-            if not lst:
-                continue
-            a, b = float(x[p1[w]]), float(x[p1[w + 1]])
-            h, q = min(a, b), max(a, b)
-            if not chain_inequality_check(h, [float(x[v]) for v in lst], q):
-                raise RewireDefectError(
-                    f"telescoping inequality failed on pair {w} of P1"
-                )
-        assignments = tuple(tuple(lst) for lst in lists)
-        g_prime = _thread(g.n, cycle, p1, lists, x)
-        hamiltonian_case = False
-
+    lists = interval_assignment(p1, offcycle, x)
+    flat = sorted(v for lst in lists for v in lst)
+    if flat != offcycle:
+        raise RewireDefectError(
+            f"assignment lists do not partition the off-cycle set: "
+            f"{lists!r} vs {offcycle!r}"
+        )
     xs = x.tolist()
-    q_g = _quadratic_form(g.edge_list, xs)
-    q_c = _quadratic_form(cycle_pairs, xs)
-    q_gp = _quadratic_form(g_prime.edge_list, xs)
+    for w, lst in enumerate(lists):
+        if not lst:
+            continue
+        a, b = xs[p1[w]], xs[p1[w + 1]]
+        h, q = min(a, b), max(a, b)
+        if not chain_inequality_check(h, [xs[v] for v in lst], q):
+            raise RewireDefectError(
+                f"telescoping inequality failed on pair {w} of P1"
+            )
+    g_prime = _thread(g.n, cycle, p1, lists, xs)
+
+    q_g = quadratic_form(g.edge_list, xs)
+    q_c = quadratic_form(_cycle_pairs(cycle), xs)
+    q_gp = quadratic_form(g_prime.edge_list, xs)
     if not (q_gp <= q_c + Q_CHAIN_SLACK and q_c <= q_g + Q_CHAIN_SLACK):
         raise RewireDefectError(
             f"quadratic-form chain violated: q_G' = {q_gp!r}, q_C = {q_c!r}, "
@@ -203,14 +181,14 @@ def rewire(g: Graph, f: FiedlerResult) -> RewireCertificate:
         cycle=cycle,
         p1=tuple(p1),
         p2=tuple(p2),
-        assignments=assignments,
+        assignments=tuple(tuple(lst) for lst in lists),
         g_prime=g_prime,
         q_g=q_g,
         q_c=q_c,
         q_gprime=q_gp,
         alpha_g=float(f.alpha),
         alpha_gprime=alpha_cycle_closed_form(g.n),
-        hamiltonian_case=hamiltonian_case,
+        hamiltonian_case=not offcycle,
     )
 
 
@@ -222,19 +200,13 @@ def _cycle_pairs(seq: tuple[int, ...]) -> list[tuple[int, int]]:
 
 
 def _thread(n, cycle, p1, lists, x) -> Graph:
+    """The spanning cycle: each P1 pair's list threaded between its ends."""
     seq = []
-    pos = {v: i for i, v in enumerate(p1)}
-    for v in cycle:
-        seq.append(v)
-        w = pos.get(v)
-        if w is None or w >= len(lists) or not lists[w]:
-            continue
-        lst = lists[w]
+    for w, lst in enumerate(lists):
+        seq.append(p1[w])
         # ascend from the endpoint with smaller x
-        if x[p1[w]] <= x[p1[w + 1]]:
-            seq.extend(lst)
-        else:
-            seq.extend(reversed(lst))
+        seq.extend(lst if x[p1[w]] <= x[p1[w + 1]] else reversed(lst))
+    seq.extend(cycle[len(lists):])
     return Graph(n, _cycle_pairs(tuple(seq)))
 
 
@@ -260,22 +232,16 @@ def strictness_report(g: Graph) -> StrictnessReport:
     x = f.vector
     lap_p = cert.g_prime.laplacian().astype(np.float64)
     lx = lap_p @ x
-    residuals = []
+    residuals = {}
     for w, lst in enumerate(cert.assignments):
-        if not lst:
-            continue
-        for v in (cert.p1[w], cert.p1[w + 1]):
-            residuals.append((int(v), float(abs(f.alpha * x[v] - lx[v]))))
-    residuals.sort()
-    dedup = []
-    for item in residuals:
-        if not dedup or dedup[-1][0] != item[0]:
-            dedup.append(item)
+        if lst:
+            for v in (cert.p1[w], cert.p1[w + 1]):
+                residuals[int(v)] = float(abs(f.alpha * x[v] - lx[v]))
     return StrictnessReport(
         hamiltonian=hamiltonian_cycle(g) is not None,
         alpha_drop=cert.alpha_g - cert.alpha_gprime,
         certificate=cert,
-        endpoint_residuals=tuple(dedup),
+        endpoint_residuals=tuple(sorted(residuals.items())),
     )
 
 

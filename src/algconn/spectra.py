@@ -123,11 +123,16 @@ def rayleigh_quotient(g: Graph, x) -> float:
         raise GraphError(
             f"vector is not orthogonal to all-ones (normalized overlap {ones_overlap:.3e})"
         )
-    num = 0.0
-    for u, v in g.edge_list:
-        d = vec[u] - vec[v]
-        num += d * d
-    return num / float(vec @ vec)
+    return quadratic_form(g.edge_list, vec.tolist()) / float(vec @ vec)
+
+
+def quadratic_form(pairs, xs: list[float]) -> float:
+    """Sum of (x_u - x_v)^2 over the (u, v) pairs, in the order given."""
+    total = 0.0
+    for u, v in pairs:
+        d = xs[u] - xs[v]
+        total += d * d
+    return total
 
 
 def alpha_cycle_closed_form(n: int) -> float:

@@ -160,11 +160,13 @@ class TestVerify:
         assert rows[0][0] == "n" and len(rows) == 4
 
     def test_t2_multi_report_array(self, capsys):
-        code, out, _ = run(capsys, "verify", "t2", "--n-max", "6")
-        assert code == 0
-        payload = json.loads(out)
-        assert [r["n"] for r in payload] == [4, 5, 6]
-        assert all(r["schema"] == 1 for r in payload)
+        # t2 prints a list even when --n-max 4 leaves one report
+        for n_max, orders in (("6", [4, 5, 6]), ("4", [4])):
+            code, out, _ = run(capsys, "verify", "t2", "--n-max", n_max)
+            assert code == 0
+            payload = json.loads(out)
+            assert [r["n"] for r in payload] == orders
+            assert all(r["schema"] == 1 for r in payload)
 
     def test_wide_tolerance_flags_and_exits_1(self, capsys):
         for sweep in (("t1", "--n", "4"), ("t2", "--n-max", "6")):

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from golden import DATA, assert_matches_golden
 from algconn.canon import is_isomorphic
 from algconn.connectivity import is_biconnected
 from algconn.errors import GraphError, RewireDefectError
@@ -79,6 +80,18 @@ class TestIntervalAssignment:
         x = [0.0, 0.5, 1.0, 0.0]
         lists = interval_assignment([0, 1, 2], [3], x)
         assert lists == [[3], []]
+
+    def test_tie_with_pair_low_end_above_minimum(self):
+        # x(3) = 0.5 equals the low end of the first pair but lies above the
+        # P1 minimum, so it belongs to the pair that crosses it
+        x = [0.5, 1.0, 0.0, 0.5]
+        assert interval_assignment([0, 1, 2], [3], x) == [[], [3]]
+
+    def test_minimum_tie_after_rising_pair(self):
+        # P1 rises 0.25 -> 0.5, drops to the minimum 0, then rises to 1;
+        # x(4) = 0 sits at the minimum, x(5) = 0.5 at the first pair's top
+        x = [0.25, 0.5, 0.0, 1.0, 0.0, 0.5]
+        assert interval_assignment([0, 1, 2, 3], [4, 5], x) == [[5], [4], []]
 
     def test_outside_range_rejected(self):
         with pytest.raises(GraphError):
@@ -193,6 +206,18 @@ class TestRewire:
         with pytest.raises(GraphError):
             rewire(g, fake)
 
+    def test_non_finite_eigenpair_rejected(self):
+        # NaN fails every comparison, so a NaN residual must not pass as small
+        g = k23()
+        f = fiedler_vector(g)
+        for alpha, coord in ((float("nan"), None), (None, float("nan")), (None, float("inf"))):
+            x = f.vector.copy()
+            if coord is not None:
+                x[2] = coord
+            fake = FiedlerResult(f.alpha if alpha is None else alpha, x, 1, 0.0)
+            with pytest.raises(GraphError, match="eigenpair"):
+                rewire(g, fake)
+
     def test_tied_minimum_graph(self):
         # complete bipartite 2x4: the Fiedler eigenspace forces repeated
         # coordinate values, exercising the tie paths end to end
@@ -227,6 +252,17 @@ class TestRewire:
             cert = rewire(g, fiedler_vector(g))
             assert cert.q_gprime <= cert.q_g + 1e-12
             assert is_isomorphic(cert.g_prime, cycle_graph(5))
+
+
+def test_certificates_match_golden():
+    # every biconnected class with n <= 6 and every theta graph with
+    # 7 <= n <= 12; floats within 1e-12, everything else exact
+    want = json.loads((DATA / "certificates.json").read_text())
+    assert len(want) == 119
+    for entry in want:
+        g = graph_from_graph6(entry["graph"])
+        got = certificate_to_dict(rewire(g, fiedler_vector(g)))
+        assert_matches_golden(got, entry["certificate"], entry["graph"])
 
 
 class TestStrictness:

@@ -3,11 +3,10 @@
 import csv
 import io
 import json
-import math
-from pathlib import Path
 
 import pytest
 
+from golden import DATA, assert_matches_golden
 from algconn.canon import canonical_form
 from algconn.connectivity import hamiltonian_cycle, is_biconnected
 from algconn.enumeration import enumerate_graphs
@@ -428,30 +427,12 @@ def test_row_dict_roundtrip(t1_small):
 # golden reports: `verify t1 --n 6` and `verify t2 --n-max 10` JSON
 # ---------------------------------------------------------------------------
 
-DATA = Path(__file__).parent / "data"
-
-
-def _assert_matches_golden(got, want, where="report"):
-    """Equal apart from runtime; floats within 1e-12, everything else exact."""
-    if isinstance(want, float):
-        assert isinstance(got, float) and math.isclose(got, want, rel_tol=0.0, abs_tol=1e-12), where
-    elif isinstance(want, dict):
-        assert set(got) == set(want), where
-        for key in want.keys() - {"runtime"}:
-            _assert_matches_golden(got[key], want[key], f"{where}.{key}")
-    elif isinstance(want, list):
-        assert len(got) == len(want), where
-        for i, (a, b) in enumerate(zip(got, want)):
-            _assert_matches_golden(a, b, f"{where}[{i}]")
-    else:
-        assert type(got) is type(want) and got == want, where
-
 
 def test_t1_report_matches_golden(t1_small):
     want = json.loads((DATA / "verify_t1_n6.json").read_text())
-    _assert_matches_golden(report_to_dict(t1_small[6]), want)
+    assert_matches_golden(report_to_dict(t1_small[6]), want)
 
 
 def test_t2_report_matches_golden():
     want = json.loads((DATA / "verify_t2_nmax10.json").read_text())
-    _assert_matches_golden([report_to_dict(r) for r in verify_theorem_2(10)], want)
+    assert_matches_golden([report_to_dict(r) for r in verify_theorem_2(10)], want)
