@@ -2,13 +2,17 @@
 
 The canonical form is the graph6 string of the relabeling that minimizes
 the adjacency bit string lexicographically over all n! permutations, found
-exactly by branch-and-bound in plain Python (canon_min_bits). The search
-tries only one vertex of each twin class (u, v with N(u) - {v} equal to
-N(v) - {u}) at each depth: swapping two unplaced twins is an automorphism,
-so the skipped branches repeat codes already seen. This keeps highly
-symmetric graphs such as K_n and the empty graph cheap without changing
-which code is the minimum. Two graphs are isomorphic iff their canonical
-forms are equal.
+exactly by a depth-first search in plain Python over integer columns
+(canon_min_bits). Placing vertex v at position d contributes the d bits
+of v's adjacency to the vertices already placed, v's column; read as an
+int, a column compares like its bits. Every vertex still unplaced has its
+column ready, so the search only branches on vertices whose column is the
+minimum: any other choice is larger at position d whatever follows. Of
+unplaced twins (u, v with N(u) - {v} equal to N(v) - {u}, which have equal
+columns) only one is tried, since swapping them is an automorphism that
+fixes every placed vertex. A prefix is cut once it exceeds the best string
+found so far. Two graphs are isomorphic iff their canonical forms are
+equal.
 """
 
 from __future__ import annotations
@@ -25,9 +29,7 @@ def canonical_form(g: Graph) -> str:
         raise OrderLimitError(
             f"canonical form is exhaustive and capped at n = {ORDER_LIMIT}, got n = {g.n}"
         )
-    return graph6_from_bits(
-        g.n, canon_min_bits([[r >> v & 1 for v in range(g.n)] for r in g._rows])
-    )
+    return graph6_from_bits(g.n, canon_min_bits(g._rows))
 
 
 def degree_profile(g: Graph) -> tuple[int, ...]:
@@ -43,84 +45,62 @@ def is_isomorphic(a: Graph, b: Graph) -> bool:
     return canonical_form(a) == canonical_form(b)
 
 
-def canon_min_bits(adj: list[list[int]]) -> list[int]:
+def canon_min_bits(rows: tuple[int, ...]) -> list[int]:
     """Lexicographically minimal upper-triangle bit string over relabelings.
 
-    adj is the 0/1 adjacency matrix as nested lists. Bit order matches
-    graph6: for j = 1..n-1, bits adj(0,j), .., adj(j-1,j). Vertices are
-    placed one per depth, and a prefix is cut as soon as its bits exceed
-    those of the best complete string found so far.
+    rows are the adjacency bitmasks (bit u of rows[v] is the edge uv). Bit
+    order matches graph6: for j = 1..n-1, the bits of pairs (0,j), ..,
+    (j-1,j). The string is the concatenation of the columns of positions
+    0..n-1 (module docstring), and position d's column has d bits whatever
+    vertex fills it. Among strings sharing a prefix, those that fill
+    position d with a vertex of minimum column are therefore smaller than
+    all others, so the search branches only on such vertices, one per twin
+    class, and keeps the smallest complete string it reaches.
     """
-    n = len(adj)
-    nbits = n * (n - 1) // 2
-    best = [0] * nbits
-    if n <= 1:
-        return best
-    deg = [sum(row) for row in adj]
-    # twins: N(u) - {v} == N(v) - {u}. Swapping two unplaced twins is an
-    # automorphism fixing every placed vertex, so their subtrees give the
-    # same codes; cls[v] is the smallest label of v's twin class
-    cls = list(range(n))
+    n = len(rows)
+    # twins[v]: the twins of v with smaller labels; v is skipped while one
+    # of them is unplaced, as that twin has the same column and is tried
+    twins = [0] * n
     for v in range(n):
         for u in range(v):
-            if cls[u] == u and all(
-                adj[u][w] == adj[v][w] for w in range(n) if w != u and w != v
-            ):
-                cls[v] = u
-                break
-    # static candidate order by (degree, twin class, label): low degree
-    # first tends to reach small codes early so pruning bites sooner, and
-    # twins (which share a degree) end up adjacent
-    cand = sorted(range(n), key=lambda v: (deg[v], cls[v], v))
+            if (rows[u] ^ rows[v]) & ~(1 << u | 1 << v) == 0:
+                twins[v] |= 1 << u
+    best: list[int] = []
+    _extend(rows, twins, list(range(n)), [0] * n, (1 << n) - 1, [], best, False)
+    return [col >> (d - 1 - i) & 1 for d, col in enumerate(best) for i in range(d)]
 
-    perm = [0] * n
-    used = [False] * n
-    choice = [0] * (n + 1)
-    # less[d]: the prefix placed above depth d is already below best
-    less = [False] * (n + 1)
-    cur = [0] * nbits
-    have_best = False
-    depth = 0
-    while depth >= 0:
-        if depth == n:
-            if not have_best or less[n]:
-                best = cur[:]
-                have_best = True
-                # the winning path is now the best prefix at every depth
-                less = [False] * (n + 1)
-            depth -= 1
-            used[perm[depth]] = False
-            choice[depth] += 1
+
+def _extend(rows, twins, rest, cols, free, path, best, less) -> bool:
+    """One search node; True if it replaced best.
+
+    path holds the columns placed so far, rest the unplaced vertices (free
+    as a bitmask) and cols their next columns; best holds the columns of
+    the best complete string, and less says path is already below it.
+    """
+    if not rest:
+        if less or not best:
+            best[:] = path
+            return True
+        return False
+    m = min(cols)
+    if best and not less:
+        if m > best[len(path)]:
+            return False
+        less = m < best[len(path)]
+    path.append(m)
+    improved = False
+    for i, col in enumerate(cols):
+        if col != m:
             continue
-        off = depth * (depth - 1) // 2
-        for c in range(choice[depth], n):
-            v = cand[c]
-            if used[v]:
-                continue
-            # only the first unused member of a twin class is tried; the
-            # placed members of a class are always a prefix of its run in
-            # cand, so comparing with the previous candidate suffices
-            if c > 0 and cls[cand[c - 1]] == cls[v] and not used[cand[c - 1]]:
-                continue
-            row = adj[v]
-            seg = [row[u] for u in perm[:depth]]
-            newless = less[depth]
-            if have_best and not newless:
-                ref = best[off : off + depth]
-                if seg > ref:
-                    continue
-                newless = seg < ref
-            cur[off : off + depth] = seg
-            choice[depth] = c
-            perm[depth] = v
-            used[v] = True
-            depth += 1
-            less[depth] = newless
-            choice[depth] = 0
-            break
-        else:
-            depth -= 1
-            if depth >= 0:
-                used[perm[depth]] = False
-                choice[depth] += 1
-    return best
+        v = rest[i]
+        if twins[v] & free:
+            continue
+        row = rows[v]
+        nrest = rest[:i] + rest[i + 1 :]
+        ncols = [c << 1 | row >> u & 1 for u, c in zip(nrest, cols[:i] + cols[i + 1 :])]
+        if _extend(rows, twins, nrest, ncols, free ^ 1 << v, path, best, less):
+            # path is now best's prefix, so later siblings must beat it
+            improved = True
+            less = False
+    path.pop()
+    return improved

@@ -123,8 +123,8 @@ def _verdict(
     gap = alpha - alpha_ref
     if gap < -margins.bound_slack:
         raise VerificationError(
-            f"lower bound violated at {code}: alpha = {alpha!r} < "
-            f"alpha(C_{n}) = {alpha_ref!r}"
+            f"lower bound violated at {code}: gap {gap!r} below -bound_slack = "
+            f"{-margins.bound_slack!r}, alpha = {alpha!r} < alpha(C_{n}) = {alpha_ref!r}"
         )
     reason = None
     if spec is None:
@@ -189,6 +189,8 @@ def classify_equality(g: Graph, margins: Margins = Margins()) -> EqualityClass:
     its canonical labeling, so it raises VerificationError where that
     sweep would.
     """
+    if g.n < 4:
+        raise VerificationError(f"equality classification covers 4 <= n, got n = {g.n}")
     if not is_biconnected(g):
         raise VerificationError("equality classification expects a biconnected graph")
     return _biconnected_row(canonical_form(g), g.n, margins).equality

@@ -1,14 +1,18 @@
 """Canonical forms against the exhaustive-permutation oracle."""
 
 import itertools
+import json
 import random
 import time
 
 import pytest
 
 import oracles
+from golden import DATA
+from algconn import canon
 from algconn.canon import canonical_form, degree_profile, is_isomorphic
 from algconn.errors import OrderLimitError
+from algconn.families import FamilyKind, FamilySpec, realize, theta_triples
 from algconn.graphs import (
     Graph,
     complete_graph,
@@ -119,6 +123,59 @@ def test_symmetric_worst_cases_at_cap(g):
         assert time.perf_counter() - start <= 2.0
     assert codes[0] == codes[1]
     assert graph_from_graph6(codes[0]).m == g.m
+
+
+def theta(triple):
+    return realize(FamilySpec(FamilyKind.THETA, sum(triple) - 1, triple))
+
+
+def test_theta_codes_match_golden():
+    # tests/data/theta_codes_n12.json holds the codes of every theta graph
+    # of order 4..12 and three symmetric graphs, as the previous search
+    # (branching on every unplaced vertex) computed them
+    want = json.loads((DATA / "theta_codes_n12.json").read_text())
+    got = {
+        "theta(%d,%d,%d)" % t: canonical_form(theta(t))
+        for n in range(4, 13)
+        for t in theta_triples(n)
+    }
+    assert len(got) == 56
+    for name, g in (("C12", cycle(12)), ("K6,6", K66), ("Petersen", PETERSEN)):
+        got[name] = canonical_form(g)
+    assert got == want
+
+
+def test_theta_codes_match_brute_force():
+    rng = random.Random(8)
+    for n in range(4, 9):
+        for t in theta_triples(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            g = relabel(theta(t), perm)
+            assert canonical_form(g) == brute_canonical_graph6(g), t
+
+
+@pytest.mark.parametrize(
+    "g, ceiling",
+    [(theta((1, 3, 9)), 18_000), (cycle(12), 20_000)],
+    ids=["theta(1,3,9)", "C12"],
+)
+def test_search_branches_only_on_minimum_columns(g, ceiling, monkeypatch):
+    # the search visits about 9,000 nodes on either graph; branching on
+    # every unplaced vertex instead of the minimum-column ones visits far
+    # more, so this catches that regression without a clock, and stops it
+    # at the ceiling
+    nodes = 0
+    extend = canon._extend
+
+    def counted(*args):
+        nonlocal nodes
+        nodes += 1
+        assert nodes < ceiling, "search node ceiling reached"
+        return extend(*args)
+
+    monkeypatch.setattr(canon, "_extend", counted)
+    canonical_form(g)
 
 
 class TestIsIsomorphic:

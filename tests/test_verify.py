@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -77,6 +78,13 @@ def test_classify_requires_biconnected():
     path = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(VerificationError):
         classify_equality(path)
+
+
+def test_classify_rejects_orders_below_four():
+    # the triangle is biconnected, but the equality families start at n = 4
+    triangle = graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(VerificationError, match=r"covers 4 <= n, got n = 3"):
+        classify_equality(triangle)
 
 
 def test_classify_flag_no_family_member():
@@ -321,6 +329,27 @@ def test_row_errors_name_stage_and_graph(monkeypatch, stage, error, theorem):
     with pytest.raises(error) as info:
         sweep()
     assert str(info.value) == f"{stage} failed at {name}: boom"
+
+
+@pytest.mark.parametrize("theorem", ["t1", "t2"])
+def test_lower_bound_error_names_bound_slack(monkeypatch, theorem):
+    # an eigensolver that reports alpha 1e-6 below alpha(C_n) must trip the
+    # bound, and the error must name the gap and bound_slack
+    fiedler = verify.fiedler_vector
+
+    def low(g):
+        f = fiedler(g)
+        return replace(f, alpha=alpha_cycle_closed_form(g.n) - 1e-6)
+
+    monkeypatch.setattr(verify, "fiedler_vector", low)
+    sweep = verify_theorem_1 if theorem == "t1" else verify_theorem_2
+    with pytest.raises(VerificationError) as info:
+        sweep(4, Margins(bound_slack=1e-9))
+    message = str(info.value)
+    assert "lower bound violated at " in message
+    assert "below -bound_slack = -1e-09" in message
+    gap = float(message.split(": gap ")[1].split(" ")[0])
+    assert gap == pytest.approx(-1e-6, rel=1e-6)
 
 
 def test_sweep_flags_weak_rewiring_drop():
