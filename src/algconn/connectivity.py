@@ -18,8 +18,8 @@ nodes that skips zero residuals, and finds the same augmenting paths;
 the path decomposition takes, at each step, the lowest-indexed arc that
 still carries flow. Every tie therefore goes to the lowest node index,
 and path systems are deterministic. Hamiltonian cycles (n <= 12) come
-from plain-Python backtracking that branches on low-degree neighbors
-first.
+from a plain-Python depth-first search over a visited bitmask that
+branches on low-degree neighbors first.
 """
 
 from __future__ import annotations
@@ -270,36 +270,23 @@ def hamiltonian_search(nbrs: list[list[int]]) -> list[int]:
     n = len(nbrs)
     if n < 3 or any(len(ns) < 2 for ns in nbrs):
         return []
-    closes = set(nbrs[0])
-    path = [0] * n
-    ptr = [0] * (n + 1)
-    visited = [False] * n
-    visited[0] = True
-    depth = 1
-    while True:
-        if depth == n:
-            if path[n - 1] in closes:
-                return path
-            depth -= 1
-            visited[path[depth]] = False
-            ptr[depth] += 1
-            continue
-        ns = nbrs[path[depth - 1]]
-        k = ptr[depth]
-        while k < len(ns) and visited[ns[k]]:
-            k += 1
-        if k < len(ns):
-            ptr[depth] = k
-            path[depth] = ns[k]
-            visited[ns[k]] = True
-            depth += 1
-            ptr[depth] = 0
-        else:
-            if depth == 1:
-                return []
-            depth -= 1
-            visited[path[depth]] = False
-            ptr[depth] += 1
+    path = [0]
+    return path if _extend_path(nbrs, path, 1, (1 << n) - 1) else []
+
+
+def _extend_path(nbrs, path, visited, full) -> bool:
+    """One search node; True if path, visiting the bitmask visited, was
+    extended to a spanning cycle, which path then holds."""
+    v = path[-1]
+    if visited == full:
+        return v in nbrs[0]
+    for u in nbrs[v]:
+        if not visited >> u & 1:
+            path.append(u)
+            if _extend_path(nbrs, path, visited | 1 << u, full):
+                return True
+            path.pop()
+    return False
 
 
 def is_hamiltonian(g: Graph) -> bool:

@@ -34,9 +34,10 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 from .canon import canonical_form
@@ -47,7 +48,6 @@ from .families import (
     FamilyKind,
     FamilySpec,
     equality_family_specs,
-    parse_family_text,
     realize,
     single_chord_spec_for_triple,
     theta_triples,
@@ -73,6 +73,12 @@ class Margins:
     strict_margin: float = 1e-10
     bound_slack: float = 1e-10
 
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not 0 <= value < math.inf:
+                raise VerificationError(f"margin {field.name} = {value!r} is not finite and >= 0")
+
 
 @dataclass(frozen=True)
 class EqualityClass:
@@ -89,8 +95,6 @@ class SweepRow:
     alpha: float
     equality: EqualityClass
     hamiltonian: bool
-    rewire_drop: float
-    alpha_gprime: float
     triple: tuple[int, int, int] | None = None
 
 
@@ -121,7 +125,7 @@ def _verdict(
     """
     alpha_ref = alpha_cycle_closed_form(n)
     gap = alpha - alpha_ref
-    if gap < -margins.bound_slack:
+    if not gap >= -margins.bound_slack:
         raise VerificationError(
             f"lower bound violated at {code}: gap {gap!r} below -bound_slack = "
             f"{-margins.bound_slack!r}, alpha = {alpha!r} < alpha(C_{n}) = {alpha_ref!r}"
@@ -163,23 +167,16 @@ def _row(
     """Fiedler vector, verdict and rewiring certificate of one sweep graph.
 
     code is g's row key, spec the family member g is known to be (or
-    None), and triple g's path lengths when it is a theta graph.
+    None), and triple g's path lengths when it is a theta graph. The
+    certificate is built only for the checks rewire makes on it.
     """
     name = code if triple is None else f"theta{triple} ({code})"
     with _stage("fiedler_vector", name):
         f = fiedler_vector(g)
     eq = _verdict(name, g.n, f.alpha, spec, hamiltonian, margins)
     with _stage("rewire", name):
-        cert = rewire(g, f)
-    return SweepRow(
-        code=CanonicalCode(g.n, code),
-        alpha=f.alpha,
-        equality=eq,
-        hamiltonian=hamiltonian,
-        rewire_drop=cert.alpha_g - cert.alpha_gprime,
-        alpha_gprime=cert.alpha_gprime,
-        triple=triple,
-    )
+        rewire(g, f)
+    return SweepRow(CanonicalCode(g.n, code), f.alpha, eq, hamiltonian, triple)
 
 
 def classify_equality(g: Graph, margins: Margins = Margins()) -> EqualityClass:
@@ -202,15 +199,18 @@ def _biconnected_row(code_g6: str, n: int, margins: Margins) -> SweepRow:
     return _row(g, code_g6, spec, hamiltonian_cycle(g) is not None, margins)
 
 
-def _load_checkpoint(path: str, n: int, margins: Margins) -> dict[str, SweepRow]:
-    """Rows of an earlier run of the order-n sweep, re-checked under margins.
+def _load_checkpoint(path: str, n: int, codes: set[str], margins: Margins) -> dict[str, SweepRow]:
+    """Rows of an earlier run of the order-n sweep, rebuilt under margins.
 
-    Every field but alpha must equal its value derived again; a spanning
-    G' makes rewire_drop the gap and alpha_gprime alpha(C_n). Rows end in
-    a newline, so text after the last one is a row cut short by an
-    interrupt: it is dropped, and the file is truncated to the last
-    complete line so new rows append cleanly. Any other line that does not
-    hold a valid row raises VerificationError.
+    A resumed row is built as a computed one is, from its stored code and
+    alpha: the verdict under the current margins and a fresh Hamiltonian
+    search. Its line must then equal that row's _row_to_dict in every field
+    but flagged and flag_reason, which follow the current margins, and its
+    code must be one of codes, the sweep's classes. Rows end in a newline,
+    so text after the last one is a row cut short by an interrupt: it is
+    dropped, and the file is truncated to the last complete line so new
+    rows append cleanly. Any other line that does not hold a valid row
+    raises VerificationError.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -219,30 +219,24 @@ def _load_checkpoint(path: str, n: int, margins: Margins) -> dict[str, SweepRow]
     if torn:
         with open(path, "r+b") as fh:
             fh.truncate(len(data) - len(torn))
-    alpha_ref = alpha_cycle_closed_form(n)
     done: dict[str, SweepRow] = {}
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
-            row = _row_from_dict(json.loads(line))
-            code = row.code.code
-            if row.code.n != n:
-                raise VerificationError(f"row is for n = {row.code.n}, not {n}")
+            stored = json.loads(line)
+            code, alpha = stored["code"], stored["alpha"]
+            if code not in codes:
+                raise VerificationError(f"code {code!r} is not a class of the order-{n} sweep")
             ham = hamiltonian_cycle(graph_from_graph6(code)) is not None
-            eq = _verdict(code, n, row.alpha, _family_code_map(n).get(code), ham, margins)
-            for field, value, derived in (
-                ("gap", row.equality.alpha_gap, eq.alpha_gap),
-                ("hamiltonian", row.hamiltonian, ham),
-                ("rewire_drop", row.rewire_drop, eq.alpha_gap),
-                ("alpha_gprime", row.alpha_gprime, alpha_ref),
-                ("triple", row.triple, None),
-            ):
-                if value != derived:
-                    raise VerificationError(f"{field} {value!r} does not match {derived!r}")
+            eq = _verdict(code, n, alpha, _family_code_map(n).get(code), ham, margins)
+            row = SweepRow(CanonicalCode(n, code), alpha, eq, ham)
+            for field, derived in _row_to_dict(row).items():
+                if field not in ("flagged", "flag_reason") and stored[field] != derived:
+                    raise VerificationError(f"{field} {stored[field]!r} does not match {derived!r}")
         except (ValueError, KeyError, TypeError, VerificationError) as exc:
             raise VerificationError(f"checkpoint {path}, line {lineno}: {exc}") from exc
-        done[code] = replace(row, equality=eq)
+        done[code] = row
     return done
 
 
@@ -261,11 +255,15 @@ def verify_theorem_1(
     """
     if not 4 <= n <= 9:
         raise VerificationError(f"biconnected sweep covers 4 <= n <= 9, got n = {n}")
+    # a pool forks all its workers at the first submit
+    cpus = os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:
+        raise VerificationError(f"jobs must lie in 1..{cpus} (the CPU count), got {jobs}")
     start = time.monotonic()
     codes = [g.to_graph6() for g in enumerate_graphs(n, is_biconnected)]
     done: dict[str, SweepRow] = {}
     if checkpoint and os.path.exists(checkpoint):
-        done = _load_checkpoint(checkpoint, n, margins)
+        done = _load_checkpoint(checkpoint, n, set(codes), margins)
     todo = [c for c in codes if c not in done]
     args = (todo, [n] * len(todo), [margins] * len(todo))
     with contextlib.ExitStack() as stack:
@@ -334,6 +332,9 @@ def _finish_report(theorem: str, n: int, rows, start: float) -> VerificationRepo
 # serialization: versioned JSON and the fixed-column CSV
 # ---------------------------------------------------------------------------
 
+# rewire certifies that G' is a spanning cycle, so alpha(G') is alpha(C_n)
+# and the rewiring drop alpha(G) - alpha(G') is the row's gap: rows store
+# neither, and the writers derive both
 CSV_COLUMNS = (
     "n",
     "canonical_code",
@@ -358,29 +359,10 @@ def _row_to_dict(row: SweepRow) -> dict:
         "flagged": row.equality.flagged,
         "flag_reason": row.equality.flag_reason,
         "hamiltonian": row.hamiltonian,
-        "rewire_drop": row.rewire_drop,
-        "alpha_gprime": row.alpha_gprime,
+        "rewire_drop": row.equality.alpha_gap,
+        "alpha_gprime": alpha_cycle_closed_form(row.code.n),
         "triple": list(row.triple) if row.triple else None,
     }
-
-
-def _row_from_dict(d: dict) -> SweepRow:
-    spec = parse_family_text(d["matched_spec"]) if d["matched_spec"] else None
-    return SweepRow(
-        code=CanonicalCode(d["n"], d["code"]),
-        alpha=d["alpha"],
-        equality=EqualityClass(
-            label=d["label"],
-            matched_spec=spec,
-            alpha_gap=d["gap"],
-            flagged=d["flagged"],
-            flag_reason=d.get("flag_reason"),
-        ),
-        hamiltonian=d["hamiltonian"],
-        rewire_drop=d["rewire_drop"],
-        alpha_gprime=d["alpha_gprime"],
-        triple=tuple(d["triple"]) if d.get("triple") else None,
-    )
 
 
 def report_to_dict(report: VerificationReport) -> dict:
@@ -419,7 +401,7 @@ def report_to_csv(reports) -> str:
                     row.equality.label,
                     spec.to_text() if spec else "",
                     "true" if row.hamiltonian else "false",
-                    repr(row.rewire_drop),
+                    repr(row.equality.alpha_gap),
                 )
             )
     return buf.getvalue()

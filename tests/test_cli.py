@@ -148,6 +148,11 @@ class TestVerify:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "line 1" in err
 
+    def test_nan_tol_exits_1(self, capsys):
+        code, out, err = run(capsys, "verify", "t1", "--n", "5", "--tol", "nan")
+        assert code == 1 and out == ""
+        assert err == "error: margin equal_tol = nan is not finite and >= 0\n"
+
     def test_t1_report_files(self, capsys, tmp_path):
         jpath, cpath = tmp_path / "r.json", tmp_path / "r.csv"
         code, out, _ = run(

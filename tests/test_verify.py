@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import math
+import os
 from dataclasses import replace
 
 import pytest
@@ -28,8 +30,6 @@ from algconn.verify import (
     CSV_COLUMNS,
     Margins,
     NOT_EXTREMAL,
-    _row_from_dict,
-    _row_to_dict,
     classify_equality,
     report_to_csv,
     report_to_dict,
@@ -141,7 +141,7 @@ def test_sweep_rows_self_consistent(t1_small):
             assert is_biconnected(g)
             assert row.hamiltonian == (hamiltonian_cycle(g) is not None)
             if not row.hamiltonian:
-                assert row.rewire_drop > 1e-10
+                assert row.equality.alpha_gap > 1e-10
             if row.equality.label != NOT_EXTREMAL:
                 assert abs(row.equality.alpha_gap) <= 1e-8
             else:
@@ -214,7 +214,14 @@ def test_checkpoint_row_below_bound_rejected(tmp_path):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("hamiltonian", True), ("rewire_drop", 123.0), ("alpha_gprime", -7.0), ("triple", [1, 2, 3])],
+    [
+        ("hamiltonian", True),
+        ("rewire_drop", 123.0),
+        ("alpha_gprime", -7.0),
+        ("triple", [1, 2, 3]),
+        ("label", "h1"),
+        ("matched_spec", "cycle:5"),
+    ],
 )
 def test_checkpoint_derived_field_edit_rejected(tmp_path, field, value):
     # every reported field of a resumed row is derived again, not trusted
@@ -245,8 +252,8 @@ def test_checkpoint_torn_last_line_dropped(tmp_path):
     assert resumed.rows == full.rows
     text = cp.read_text()
     assert text.endswith("\n") and len(text.splitlines()) == 10
-    assert {_row_from_dict(json.loads(line)).code for line in text.splitlines()} == {
-        r.code for r in full.rows
+    assert {json.loads(line)["code"] for line in text.splitlines()} == {
+        r.code.code for r in full.rows
     }
 
 
@@ -281,7 +288,50 @@ def test_checkpoint_rows_on_disk_before_interrupt(tmp_path, monkeypatch):
         verify_theorem_1(6, checkpoint=str(cp))
     assert text.endswith("\n") and len(text.splitlines()) == k
     for line in text.splitlines():
-        assert _row_from_dict(json.loads(line)).code.n == 6
+        assert json.loads(line)["n"] == 6
+
+
+def test_checkpoint_nan_alpha_violates_bound(tmp_path):
+    cp = tmp_path / "sweep5.jsonl"
+    verify_theorem_1(5, checkpoint=str(cp))
+    lines = cp.read_text().splitlines()
+    lines[0] = _edit_row(lines[0], alpha=math.nan, gap=math.nan)
+    cp.write_text("\n".join(lines) + "\n")
+    with pytest.raises(VerificationError, match="line 1: lower bound violated"):
+        verify_theorem_1(5, checkpoint=str(cp))
+
+
+@pytest.mark.parametrize(
+    "code",
+    # D]o relabels the class DFw; DBw (a 4-cycle with a pendant vertex)
+    # is not biconnected
+    ["D]o", "DBw"],
+)
+def test_checkpoint_row_outside_sweep_rejected(tmp_path, code):
+    cp = tmp_path / "sweep5.jsonl"
+    verify_theorem_1(5, checkpoint=str(cp))
+    lines = cp.read_text().splitlines()
+    (line,) = [line for line in lines if json.loads(line)["code"] == "DFw"]
+    cp.write_text("\n".join(lines + [_edit_row(line, code=code)]) + "\n")
+    with pytest.raises(VerificationError, match=f"line 11: code '{code}' is not a class"):
+        verify_theorem_1(5, checkpoint=str(cp))
+
+
+@pytest.mark.parametrize("field", ["equal_tol", "strict_margin", "bound_slack"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1e-12])
+def test_margins_reject_non_finite_or_negative(field, value):
+    with pytest.raises(VerificationError, match=f"margin {field} = "):
+        Margins(**{field: value})
+
+
+@pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1, 5000])
+def test_sweep_jobs_validated_before_pool(monkeypatch, jobs):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("process pool constructed")
+
+    monkeypatch.setattr(verify.concurrent.futures, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(VerificationError, match=f"got {jobs}"):
+        verify_theorem_1(4, jobs=jobs)
 
 
 def test_sweep_flags_survive_to_report():
@@ -441,15 +491,6 @@ def test_json_schema_and_determinism(t1_small):
     b = report_to_dict(fresh)
     a.pop("runtime"), b.pop("runtime")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-
-def test_row_dict_roundtrip(t1_small):
-    for report in t1_small.values():
-        for row in report.rows:
-            assert _row_from_dict(json.loads(json.dumps(_row_to_dict(row)))) == row
-    for report in verify_theorem_2(5):
-        for row in report.rows:
-            assert _row_from_dict(_row_to_dict(row)) == row
 
 
 # ---------------------------------------------------------------------------
