@@ -5,14 +5,38 @@ the adjacency bit string lexicographically over all n! permutations, found
 exactly by a depth-first search in plain Python over integer columns
 (canon_min_bits). Placing vertex v at position d contributes the d bits
 of v's adjacency to the vertices already placed, v's column; read as an
-int, a column compares like its bits. Every vertex still unplaced has its
-column ready, so the search only branches on vertices whose column is the
-minimum: any other choice is larger at position d whatever follows. Of
-unplaced twins (u, v with N(u) - {v} equal to N(v) - {u}, which have equal
-columns) only one is tried, since swapping them is an automorphism that
-fixes every placed vertex. A prefix is cut once it exceeds the best string
-found so far. Two graphs are isomorphic iff their canonical forms are
-equal.
+int, a column compares like its bits. Two graphs are isomorphic iff their
+canonical forms are equal.
+
+The first k columns are all zero iff the first k vertices are independent,
+and a vertex placed after a maximum independent set S has a 1 in its
+column. So the minimal string starts with the zero columns of some S, and
+the search runs in two phases.
+
+(a) Choose S as a set, not as its |S|! orderings: members are added in
+increasing label order, and only maximal sets of the largest size are kept.
+A vertex passed over can still gain a neighbour in S from a later member,
+so maximality is judged only at a leaf; cutting an inner node that leaves
+a vertex uncovered would drop sets the search needs.
+
+(b) Place the other vertices one position at a time. Every unplaced vertex
+has its column ready, so the search only branches on vertices whose column
+is the minimum: any other choice is larger at that position whatever
+follows. A column's bits over S depend on the order of S, which is left
+open as an ordered partition of S: within each cell, a column lists its
+non-neighbours before its neighbours, and placing a vertex splits every
+cell that way. For a fixed order of the vertices outside S this greedy
+split is exact. The string compares their bits over S in placement order,
+and the first vertex's bits are least exactly when S lists its
+non-neighbours first, the second's when each of those two blocks lists
+the second's non-neighbours first, and so on. Any order within a final
+cell gives the same string.
+
+In both phases, of twins u, v (N(u) - {v} equal to N(v) - {u}) only one
+arrangement is tried, since swapping them is an automorphism: phase (a)
+adds v only while its smaller twins are in S, and phase (b) places v only
+once its smaller twins are placed. A prefix is cut once it exceeds the
+best string found so far.
 """
 
 from __future__ import annotations
@@ -51,31 +75,73 @@ def canon_min_bits(rows: tuple[int, ...]) -> list[int]:
     rows are the adjacency bitmasks (bit u of rows[v] is the edge uv). Bit
     order matches graph6: for j = 1..n-1, the bits of pairs (0,j), ..,
     (j-1,j). The string is the concatenation of the columns of positions
-    0..n-1 (module docstring), and position d's column has d bits whatever
-    vertex fills it. Among strings sharing a prefix, those that fill
-    position d with a vertex of minimum column are therefore smaller than
-    all others, so the search branches only on such vertices, one per twin
-    class, and keeps the smallest complete string it reaches.
+    0..n-1, and its leading zero columns are those of a maximum independent
+    set S (module docstring). Phase (a), _choose, lists the candidates for
+    S as sets; maximality is judged only at its leaves, because a vertex
+    left out early can be covered by a later member. Phase (b), _extend,
+    runs once per candidate S with one shared best string: it places the
+    other vertices by minimum column and orders S by greedy cell splits,
+    which for a fixed order of those vertices is the least order of S, as
+    their bits over S are compared in placement order.
     """
     n = len(rows)
-    # twins[v]: the twins of v with smaller labels; v is skipped while one
-    # of them is unplaced, as that twin has the same column and is tried
+    # twins[v]: the twins of v with smaller labels; swapping v with one of
+    # them is an automorphism, so only one of each arrangement is tried
     twins = [0] * n
     for v in range(n):
         for u in range(v):
             if (rows[u] ^ rows[v]) & ~(1 << u | 1 << v) == 0:
                 twins[v] |= 1 << u
+    full = (1 << n) - 1
+    sets: list[int] = []
+    _choose(rows, twins, full, 0, 0, full, sets)
     best: list[int] = []
-    _extend(rows, twins, list(range(n)), [0] * n, (1 << n) - 1, [], best, False)
+    for s in sets:
+        rest = [v for v in range(n) if not s >> v & 1]
+        cols = [_over_s([s], rows[v]) for v in rest]
+        _extend(rows, twins, rest, cols, full ^ s, [s], [0] * s.bit_count(), best, False)
     return [col >> (d - 1 - i) & 1 for d, col in enumerate(best) for i in range(d)]
 
 
-def _extend(rows, twins, rest, cols, free, path, best, less) -> bool:
-    """One search node; True if it replaced best.
+def _choose(rows, twins, full, s, covered, cand, sets) -> None:
+    """One node of phase (a): the independent sets that extend s.
 
-    path holds the columns placed so far, rest the unplaced vertices (free
-    as a bitmask) and cols their next columns; best holds the columns of
-    the best complete string, and less says path is already below it.
+    s holds the members chosen so far, covered is s with its neighbours,
+    and cand the labels above s's largest that are still non-adjacent to
+    it. Members are added in increasing label order, and v only while its
+    smaller twins are all in s. sets keeps the maximal sets of the largest
+    size reached so far, and a node that cannot reach that size is cut. A
+    vertex left out of s can still be covered by a later member, so an
+    uncovered vertex never cuts a node; maximality (covered == full) is
+    judged only at a leaf, where no candidate is left.
+    """
+    size = s.bit_count()
+    if covered == full:
+        if not sets or size > sets[0].bit_count():
+            sets[:] = [s]
+        elif size == sets[0].bit_count():
+            sets.append(s)
+        return
+    if sets and size + cand.bit_count() < sets[0].bit_count():
+        return
+    while cand:
+        low = cand & -cand
+        v = low.bit_length() - 1
+        cand ^= low
+        if twins[v] & ~s == 0:
+            _choose(rows, twins, full, s | low, covered | low | rows[v], cand & ~rows[v], sets)
+
+
+def _extend(rows, twins, rest, cols, free, cells, path, best, less) -> bool:
+    """One node of phase (b); True if it replaced best.
+
+    path holds the columns placed so far, the zero columns of S first; rest
+    holds the unplaced vertices (free as a bitmask) and cols their next
+    columns. cells is the ordered partition of S that the placed vertices
+    induce: a column's bits over S list each cell's non-neighbours before
+    its neighbours (_over_s), and placing a vertex splits every cell that
+    way. best holds the columns of the best complete string, and less says
+    path is already below it.
     """
     if not rest:
         if less or not best:
@@ -98,9 +164,23 @@ def _extend(rows, twins, rest, cols, free, path, best, less) -> bool:
         row = rows[v]
         nrest = rest[:i] + rest[i + 1 :]
         ncols = [c << 1 | row >> u & 1 for u, c in zip(nrest, cols[:i] + cols[i + 1 :])]
-        if _extend(rows, twins, nrest, ncols, free ^ 1 << v, path, best, less):
+        ncells = [part for c in cells for part in (c & ~row, c & row) if part]
+        if len(ncells) > len(cells):
+            # v split a cell, which reorders the columns' bits over S; their
+            # k low bits, over the vertices placed after S, stay
+            k = len(path) - sum(c.bit_count() for c in cells)
+            ncols = [_over_s(ncells, rows[u]) << k | c & (1 << k) - 1 for u, c in zip(nrest, ncols)]
+        if _extend(rows, twins, nrest, ncols, free ^ 1 << v, ncells, path, best, less):
             # path is now best's prefix, so later siblings must beat it
             improved = True
             less = False
     path.pop()
     return improved
+
+
+def _over_s(cells, row) -> int:
+    """The bits over S of a column: each cell's non-neighbours, then its neighbours."""
+    head = 0
+    for c in cells:
+        head = head << c.bit_count() | (1 << (c & row).bit_count()) - 1
+    return head

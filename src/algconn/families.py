@@ -151,23 +151,26 @@ def parse_family_text(text: str) -> FamilySpec:
             f"unknown family kind {name!r}; expected one of "
             f"{[k.value for k in FamilyKind]}"
         ) from None
+    if kind == FamilyKind.CYCLE:
+        if len(parts) != 2:
+            raise FamilySpecError(f"cycle spec must be 'cycle:<n>', got {text!r}")
+        return FamilySpec(kind, _spec_int(parts[1], text))
+    if kind == FamilyKind.THETA:
+        if len(parts) != 2:
+            raise FamilySpecError(f"theta spec must be 'theta:l1,l2,l3', got {text!r}")
+        lens = tuple(sorted(_spec_int(p, text) for p in parts[1].split(",")))
+        return FamilySpec(kind, sum(lens) - 1, lens)
+    if len(parts) != 3 or not parts[1].startswith("n=") or not parts[2].startswith("i="):
+        raise FamilySpecError(f"chord spec must be '{kind}:n=<n>:i=<i1,i2,..>', got {text!r}")
+    n = _spec_int(parts[1][2:], text)
+    idx = tuple(sorted(_spec_int(p, text) for p in parts[2][2:].split(",")))
+    return FamilySpec(kind, n, idx)
+
+
+def _spec_int(field: str, text: str) -> int:
+    """One integer of a family spec; anything else is a bad number in text."""
     try:
-        if kind == FamilyKind.CYCLE:
-            if len(parts) != 2:
-                raise FamilySpecError(f"cycle spec must be 'cycle:<n>', got {text!r}")
-            return FamilySpec(kind, int(parts[1]))
-        if kind == FamilyKind.THETA:
-            if len(parts) != 2:
-                raise FamilySpecError(f"theta spec must be 'theta:l1,l2,l3', got {text!r}")
-            lens = tuple(sorted(int(p) for p in parts[1].split(",")))
-            return FamilySpec(kind, sum(lens) - 1, lens)
-        if len(parts) != 3 or not parts[1].startswith("n=") or not parts[2].startswith("i="):
-            raise FamilySpecError(
-                f"chord spec must be '{kind}:n=<n>:i=<i1,i2,..>', got {text!r}"
-            )
-        n = int(parts[1][2:])
-        idx = tuple(sorted(int(p) for p in parts[2][2:].split(",")))
-        return FamilySpec(kind, n, idx)
+        return int(field)
     except ValueError:
         raise FamilySpecError(f"bad number in family spec {text!r}") from None
 

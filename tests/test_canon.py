@@ -52,7 +52,8 @@ def brute_canonical_graph6(g):
 
 
 def test_matches_brute_force_on_all_small_orders():
-    for n in range(1, 5):
+    # every labeled graph with n <= 5 (1,024 of them at n = 5)
+    for n in range(1, 6):
         nbits = n * (n - 1) // 2
         for mask in range(1 << nbits):
             pairs = []
@@ -105,10 +106,52 @@ PETERSEN = graph_from_edges(
 K66 = graph_from_edges(12, [(u, v) for u in range(6) for v in range(6, 12)])
 
 
+# K2,2,2,2,2,2: K12 less a perfect matching
+COCKTAIL_PARTY = graph_from_edges(
+    12, [(u, v) for u in range(12) for v in range(u + 1, 12) if u // 2 != v // 2]
+)
+# apexes 0 and 11, pentagons 1..5 and 6..10
+ICOSAHEDRON = graph_from_edges(
+    12,
+    [(0, i) for i in range(1, 6)]
+    + [(11, i) for i in range(6, 11)]
+    + [(1 + i, 1 + (i + 1) % 5) for i in range(5)]
+    + [(6 + i, 6 + (i + 1) % 5) for i in range(5)]
+    + [(1 + i, 6 + i) for i in range(5)]
+    + [(1 + (i + 1) % 5, 6 + i) for i in range(5)],
+)
+
+
+def complement(g):
+    return graph_from_edges(
+        g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+    )
+
+
 @pytest.mark.parametrize(
     "g",
-    [complete_graph(12), empty_graph(12), cycle(12), K66, PETERSEN],
-    ids=["K12", "empty12", "C12", "K6,6", "Petersen"],
+    [
+        complete_graph(12),
+        empty_graph(12),
+        cycle(12),
+        K66,
+        PETERSEN,
+        COCKTAIL_PARTY,
+        complement(cycle(12)),
+        ICOSAHEDRON,
+        complement(ICOSAHEDRON),
+    ],
+    ids=[
+        "K12",
+        "empty12",
+        "C12",
+        "K6,6",
+        "Petersen",
+        "K2x6",
+        "co-C12",
+        "icosahedron",
+        "co-icosahedron",
+    ],
 )
 def test_symmetric_worst_cases_at_cap(g):
     # highly symmetric graphs at (or near) the order cap: bounded time, and
@@ -155,26 +198,41 @@ def test_theta_codes_match_brute_force():
             assert canonical_form(g) == brute_canonical_graph6(g), t
 
 
+def test_codes_match_golden_random_graphs():
+    # tests/data/canon_random_n12.json holds the codes of 240 random graphs
+    # with n = 9..12 and edge densities 0.1..0.9, as the previous search
+    # (ordering the leading independent set one vertex at a time) computed them
+    graphs = json.loads((DATA / "canon_random_n12.json").read_text())["graphs"]
+    assert len(graphs) == 240
+    for entry in graphs:
+        g = graph_from_edges(entry["n"], [tuple(e) for e in entry["edges"]])
+        assert canonical_form(g) == entry["code"], entry
+
+
 @pytest.mark.parametrize(
     "g, ceiling",
-    [(theta((1, 3, 9)), 18_000), (cycle(12), 20_000)],
+    [(theta((1, 3, 9)), 1_000), (cycle(12), 1_000)],
     ids=["theta(1,3,9)", "C12"],
 )
 def test_search_branches_only_on_minimum_columns(g, ceiling, monkeypatch):
-    # the search visits about 9,000 nodes on either graph; branching on
-    # every unplaced vertex instead of the minimum-column ones visits far
-    # more, so this catches that regression without a clock, and stops it
-    # at the ceiling
+    # both phases together visit 255 nodes on theta(1,3,9) and 342 on C12;
+    # placing the independent set one vertex at a time, or branching on
+    # every unplaced vertex instead of the minimum-column ones, visits
+    # thousands, so this catches either regression without a clock, and
+    # stops it at the ceiling
     nodes = 0
-    extend = canon._extend
 
-    def counted(*args):
-        nonlocal nodes
-        nodes += 1
-        assert nodes < ceiling, "search node ceiling reached"
-        return extend(*args)
+    def counted(step):
+        def node(*args):
+            nonlocal nodes
+            nodes += 1
+            assert nodes < ceiling, "search node ceiling reached"
+            return step(*args)
 
-    monkeypatch.setattr(canon, "_extend", counted)
+        return node
+
+    monkeypatch.setattr(canon, "_choose", counted(canon._choose))
+    monkeypatch.setattr(canon, "_extend", counted(canon._extend))
     canonical_form(g)
 
 

@@ -59,6 +59,11 @@ class TestFamilies:
         code, _, err = run(capsys, "families", "gen", "h1:n=6:i=1")  # h1 needs odd n
         assert code == 1 and err.startswith("error:")
 
+    def test_bad_spec_names_fault(self, capsys):
+        code, out, err = run(capsys, "families", "gen", "cycle:2")
+        assert (code, out) == (1, "")
+        assert err == "error: cycle needs n >= 3, got n = 2\n"
+
 
 class TestTheta:
     def test_cycle_is_not_theta(self, capsys):

@@ -1,6 +1,7 @@
 """Exhaustive class generation against two independent counting routes:
 labeled-graph bucketing (small n) and EGF-plus-Burnside arithmetic."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -82,6 +83,16 @@ def test_connected_codes_match_plain_oracle():
 @pytest.mark.slow
 def test_connected_codes_match_plain_oracle_n8():
     assert _connected_codes(8) == oracles.plain_connected_codes(8)
+
+
+@pytest.mark.slow
+def test_level_8_codes_match_digest():
+    # sha256 of the 11,117 sorted codes of order 8, joined by newlines, as
+    # the search that ordered every vertex one at a time computed them
+    codes = _connected_codes(8)
+    assert len(codes) == CONNECTED_CLASS_COUNTS[8]
+    digest = hashlib.sha256("\n".join(codes).encode()).hexdigest()
+    assert digest == "28b9222da489bdd97eff49da6a8d2aed76ac19453b4b69ece911cb3dd855c398"
 
 
 def test_shuffled_parents_and_masks_same_codes(cold_level_cache):

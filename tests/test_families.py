@@ -261,6 +261,24 @@ class TestTextForm:
         with pytest.raises(FamilySpecError):
             parse_family_text("cycle:x")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("cycle:2", "cycle needs n >= 3"),
+            ("cycle:12:3", "cycle spec must be 'cycle:<n>'"),
+            ("theta:2,3", "exactly 3 path lengths"),
+            ("theta:1,1,3", "multi-edge"),
+            ("h1:n=8:i=1", "h1 needs odd n >= 5"),
+        ],
+    )
+    def test_structural_error_named(self, text, message):
+        # a well-formed number in a wrong spec reports the spec's fault,
+        # not a bad number
+        with pytest.raises(FamilySpecError) as info:
+            parse_family_text(text)
+        assert message in str(info.value)
+        assert "bad number" not in str(info.value)
+
     def test_theta_unsorted_input_normalized(self):
         assert parse_family_text("theta:4,2,3") == FamilySpec(FamilyKind.THETA, 8, (2, 3, 4))
 
