@@ -4,28 +4,28 @@ Reachability runs on the graph's bitmask rows, one breadth-first frontier
 at a time, peeling set bits lowest first.
 
 Local connectivity between two vertices uses Menger's theorem on the
-vertex-split digraph. Node 2v is v_in and node 2v+1 is v_out. The arc
-v_in -> v_out has capacity 1 (n at the two endpoints, which are internal
-to no path), and each edge uv gives arcs u_out -> v_in and v_out -> u_in
-of capacity 1. The digraph is held as adjacency lists, one insertion-
-ordered {head: capacity} dict per node: v_in lists {v_out} and every
-u_out with u a neighbour of v, v_out lists {v_in} and every such u_in,
-each in ascending node order. Those are all the ordered pairs whose
-residual capacity can ever be positive: an arc, or the reverse of one.
-Breadth-first augmentation scans each list in ascending order, so it
-meets the candidates of a node in the same order as a scan over all 2n
-nodes that skips zero residuals, and finds the same augmenting paths;
-the path decomposition takes, at each step, the lowest-indexed arc that
-still carries flow. Every tie therefore goes to the lowest node index,
-and path systems are deterministic. Hamiltonian cycles (n <= 12) come
-from a plain-Python depth-first search over a visited bitmask that
-branches on low-degree neighbors first.
+vertex-split digraph: v_in -> v_out has capacity 1, and each edge uv gives
+arcs u_out -> v_in and v_out -> u_in of capacity 1. The residuals are int
+bitmasks, one pair per vertex. Bit u of out[v] is set while v_out -> u_in
+is unused and bit u of back[v] while u_out -> v_in is used, so that
+v_in -> u_out has residual capacity. The split arcs are the diagonals:
+bit v of back[v] is set while v_in -> v_out is unused, and bit v of out[v]
+while it is used. The heads of an in-node are all out-nodes and vice
+versa, so peeling them lowest bit first meets them in ascending node
+order (node 2v = v_in, 2v+1 = v_out), as a scan over all 2n nodes that
+skips zero residuals would: breadth-first augmentation finds the same
+augmenting paths as that scan, and the path decomposition follows, at
+each step, the lowest edge arc that carries flow. Every tie therefore
+goes to the lowest vertex, and path systems are deterministic.
+Hamiltonian cycles (n <= 12) come from a plain-Python depth-first search
+over a visited bitmask that branches on low-degree neighbors first.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import GraphError, OrderLimitError, VertexSetError
 from .graphs import Graph
@@ -108,65 +108,70 @@ def is_biconnected(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Menger: vertex-disjoint s-t paths via unit-capacity max flow on the
-# split digraph. Node 2v = v_in, 2v+1 = v_out.
+# Menger: vertex-disjoint s-t paths via max flow on the split digraph
 # ---------------------------------------------------------------------------
 
 
-def _split_flow(
-    g: Graph, s: int, t: int
-) -> tuple[int, list[dict[int, int]], list[dict[int, int]]]:
+def _split_flow(g: Graph, s: int, t: int) -> tuple[int, list[int]]:
     """Maximum s_out -> t_in flow by breadth-first augmentation.
 
-    Returns the flow value, the capacities and the final residuals, each
-    a list over split nodes of {head: value} dicts in ascending head order.
+    Returns the flow value and the final out masks. The split arcs of s
+    and t are never used, so their capacity is immaterial: s_out is the
+    source, and the search stops as soon as it reaches t_in.
     """
     n = g.n
-    if not (0 <= s < n and 0 <= t < n) or s == t:
-        raise VertexSetError(f"need two distinct vertices in range, got {s}, {t}")
-    cap: list[dict[int, int]] = []
-    for v in range(n):
-        nbrs = g.neighbors(v)
-        k = bisect_left(nbrs, v)
-        heads = [2 * u + 1 for u in nbrs]
-        heads.insert(k, 2 * v + 1)
-        v_in = dict.fromkeys(heads, 0)
-        v_in[2 * v + 1] = n if v == s or v == t else 1  # endpoints are not internal to any path
-        heads = [2 * u for u in nbrs]
-        heads.insert(k, 2 * v)
-        v_out = dict.fromkeys(heads, 1)
-        v_out[2 * v] = 0
-        cap += (v_in, v_out)
-    res = [dict(arcs) for arcs in cap]
-    source, sink = 2 * s + 1, 2 * t
+    if not all(isinstance(v, (int, np.integer)) and 0 <= v < n for v in (s, t)) or s == t:
+        raise VertexSetError(f"need two distinct vertices in range, got {s!r}, {t!r}")
+    s, t = int(s), int(t)
+    out = list(g._rows)
+    back = [1 << v for v in range(n)]
+    prev_in = [0] * n  # prev_in[u] = v: u_in was reached from v_out
+    prev_out = [0] * n  # prev_out[v] = u: v_out was reached from u_in
     total = 0
     while True:
-        prev = [-1] * (2 * n)
-        prev[source] = source
-        queue = [source]
+        seen_in, seen_out = 0, 1 << s
+        queue = [2 * s + 1]
         for x in queue:
-            if prev[sink] != -1:
+            v = x >> 1
+            if x & 1:
+                heads = out[v] & ~seen_in
+                seen_in |= heads
+                while heads:
+                    low = heads & -heads
+                    u = low.bit_length() - 1
+                    prev_in[u] = v
+                    queue.append(2 * u)
+                    heads ^= low
+                if seen_in >> t & 1:
+                    break
+            else:
+                heads = back[v] & ~seen_out
+                seen_out |= heads
+                while heads:
+                    low = heads & -heads
+                    u = low.bit_length() - 1
+                    prev_out[u] = v
+                    queue.append(2 * u + 1)
+                    heads ^= low
+        if not seen_in >> t & 1:
+            return total, out
+        # walk back from t_in; v_out -> u_in and u_in -> v_out flip the same bits
+        u = t
+        while True:
+            v = prev_in[u]
+            out[v] ^= 1 << u
+            back[u] ^= 1 << v
+            if v == s:
                 break
-            for y, r in res[x].items():  # ascending scan fixes the augmenting path
-                if r > 0 and prev[y] == -1:
-                    prev[y] = x
-                    queue.append(y)
-        if prev[sink] == -1:
-            break
-        y = sink
-        while y != source:
-            x = prev[y]
-            res[x][y] -= 1
-            res[y][x] += 1
-            y = x
+            u = prev_out[v]
+            out[v] ^= 1 << u
+            back[u] ^= 1 << v
         total += 1
-    return total, cap, res
 
 
 def local_connectivity(g: Graph, s: int, t: int) -> int:
     """Maximum number of internally disjoint s-t paths (Menger)."""
-    total, _, _ = _split_flow(g, s, t)
-    return total
+    return _split_flow(g, s, t)[0]
 
 
 @dataclass(frozen=True)
@@ -186,30 +191,30 @@ def inner_disjoint_paths(g: Graph, s: int, t: int, k: int | None = None) -> Path
     """Decompose a max flow into explicit paths; k caps how many to return.
 
     Paths are reported sorted by their vertex sequence, each oriented from
-    s to t. Raises VertexSetError unless s and t are two distinct
-    vertices, and GraphError if fewer than k paths exist.
+    s to t. Raises VertexSetError unless s and t are two distinct integer
+    vertices, and GraphError unless k is None or an integer >= 1, or if
+    fewer than k paths exist.
     """
-    total, cap, res = _split_flow(g, s, t)
+    if k is not None and not (isinstance(k, (int, np.integer)) and k >= 1):
+        raise GraphError(f"k must be an integer of at least 1, got {k!r}")
+    total, out = _split_flow(g, s, t)
     if k is not None and total < k:
         raise GraphError(f"only {total} internally disjoint {s}-{t} paths exist, need {k}")
-    want = total if k is None else k
-    sink = 2 * t
+    s, t = int(s), int(t)
+    rows = g._rows
     paths = []
-    for _ in range(want):
+    for _ in range(total if k is None else k):
         path = [s]
-        x = 2 * s + 1
-        while x != sink:
-            # x is an out-node, whose arcs all end at in-nodes and carry
-            # at most one unit; taking a unit back marks the arc used
-            nxt = next((y for y, r in res[x].items() if r < cap[x][y]), -1)
-            if nxt == -1:
+        while path[-1] != t:
+            v = path[-1]
+            # follow the lowest edge arc out of v_out that carries flow;
+            # setting its out bit marks it followed
+            used = rows[v] & ~out[v]
+            if not used:
                 raise GraphError("flow decomposition failed; internal error")
-            res[x][nxt] += 1
-            if nxt != sink:
-                path.append(nxt // 2)
-                nxt += 1  # pass through the split arc
-            x = nxt
-        path.append(t)
+            low = used & -used
+            out[v] |= low
+            path.append(low.bit_length() - 1)
         paths.append(tuple(path))
     paths.sort()
     return PathSystem(s=s, t=t, paths=tuple(paths))

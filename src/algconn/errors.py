@@ -18,7 +18,9 @@ class EdgeMissingError(GraphError):
 
 
 class VertexSetError(GraphError):
-    """Graph union called with incompatible vertex sets."""
+    """Bad vertices: a label that is out of range or not an integer, a
+    loop, a bad vertex count, a graph union whose added graph has more
+    vertices, or flow endpoints that are not two distinct vertices."""
 
 
 class Graph6Error(GraphError):

@@ -9,10 +9,10 @@ Householder + implicit-shift QL in scalar loops, not the LAPACK routine
 the package calls. plain_connected_codes is level construction without
 the augmentation acceptance test: it does use the package's canonical
 form, because what it checks is which classes the filtered generator
-reaches. dense_inner_disjoint_paths is the Menger decomposition the
-package used before its flow moved to adjacency lists: dense 2n x 2n
-capacity and flow matrices, every BFS step and every decomposition step
-scanning all 2n split nodes. Slow but trustworthy.
+reaches. dense_inner_disjoint_paths is the Menger decomposition that the
+package's bitmask flow must reproduce: dense 2n x 2n capacity and flow
+matrices, every BFS step and every decomposition step scanning all 2n
+split nodes. Slow but trustworthy.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 import oracles
@@ -20,6 +21,7 @@ from algconn.connectivity import (
 )
 from algconn.enumeration import enumerate_graphs
 from algconn.errors import GraphError, OrderLimitError, VertexSetError
+from algconn.families import enumerate_theta, theta_triples
 from algconn.graphs import Graph, complete_graph, graph_from_edges, path_graph
 
 
@@ -29,6 +31,12 @@ def cycle(n):
 
 def k23():
     return graph_from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
+
+
+def wheel(k):
+    """Hub 0 joined to every vertex of the rim cycle 1..k."""
+    rim = range(1, k + 1)
+    return graph_from_edges(k + 1, [(0, v) for v in rim] + [(v, v % k + 1) for v in rim])
 
 
 def random_graph(rng, n, p=0.5):
@@ -189,9 +197,21 @@ class TestInnerDisjointPaths:
             inner_disjoint_paths(cycle(5), 0, 2, 3)
 
     def test_bad_endpoints_rejected(self):
-        for s, t in ((1, 1), (-1, 2), (0, 5)):
-            with pytest.raises(VertexSetError):
+        for s, t in ((1, 1), (-1, 2), (0, 5), (0.0, 2), (0, "2"), (None, 2)):
+            with pytest.raises(VertexSetError, match="need two distinct vertices in range"):
                 inner_disjoint_paths(cycle(5), s, t)
+            with pytest.raises(VertexSetError, match="need two distinct vertices in range"):
+                local_connectivity(cycle(5), s, t)
+
+    def test_numpy_integer_endpoints(self):
+        ps = inner_disjoint_paths(cycle(5), np.int64(0), np.int32(2), 2)
+        assert ps == inner_disjoint_paths(cycle(5), 0, 2, 2)
+        assert all(type(v) is int for p in ps.paths for v in p)
+
+    def test_bad_k_rejected(self):
+        for k in (0, -1, 1.5, "2"):
+            with pytest.raises(GraphError, match="k must be an integer of at least 1"):
+                inner_disjoint_paths(cycle(5), 0, 2, k)
 
     def test_deterministic_and_structural_random(self):
         rng = random.Random(37)
@@ -238,7 +258,7 @@ def assert_matches_dense_oracle(g, s, t):
 
 
 class TestDenseFlowOracle:
-    """The adjacency-list flow returns exactly the dense-matrix path systems."""
+    """The bitmask flow returns exactly the dense-matrix path systems."""
 
     def test_every_ordered_pair_of_connected_classes_to_n6(self):
         for n in range(2, 7):
@@ -260,6 +280,36 @@ class TestDenseFlowOracle:
         for g in enumerate_graphs(7, lambda _: True):
             for s, t in itertools.permutations(range(7), 2):
                 assert_matches_dense_oracle(g, s, t)
+
+    def test_random_ear_decompositions_wider_than_64_bits(self):
+        rng = random.Random(63)
+        for _ in range(10):
+            g = random_ear_graph(rng, rng.randint(63, 100))
+            for _ in range(3):
+                s, t = rng.sample(range(g.n), 2)
+                assert_matches_dense_oracle(g, s, t)
+
+    @pytest.mark.parametrize(
+        "g, widths",
+        [
+            (complete_graph(8), {7}),
+            (wheel(12), {3}),
+            # K_{2,10}: poles 0 and 1
+            (graph_from_edges(12, [(p, v) for p in (0, 1) for v in range(2, 12)]), {2, 10}),
+        ],
+        ids=["K8", "W12", "K2,10"],
+    )
+    def test_every_ordered_pair_of_dense_graphs(self, g, widths):
+        seen = set()
+        for s, t in itertools.permutations(range(g.n), 2):
+            assert_matches_dense_oracle(g, s, t)
+            seen.add(local_connectivity(g, s, t))
+        assert seen == widths
+
+    def test_theta_triples_to_n40(self):
+        for n in range(4, 41):
+            for triple, g in zip(theta_triples(n), enumerate_theta(n)):
+                assert theta_length_triple(g) == triple
 
 
 class TestTheta:

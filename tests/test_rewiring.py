@@ -1,6 +1,7 @@
 """Rewiring procedure: extreme pair, interval threading, chain inequality,
 and the quadratic-form certificates."""
 
+import hashlib
 import json
 import random
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from golden import DATA, assert_matches_golden
+from test_connectivity import random_ear_graph
 from algconn.canon import is_isomorphic
 from algconn.connectivity import is_biconnected
 from algconn.errors import GraphError, RewireDefectError
@@ -263,6 +265,17 @@ def test_certificates_match_golden():
         g = graph_from_graph6(entry["graph"])
         got = certificate_to_dict(rewire(g, fiedler_vector(g)))
         assert_matches_golden(got, entry["certificate"], entry["graph"])
+
+
+def test_certificates_match_digest():
+    # 300 seeded 2-connected graphs with 13 <= n <= 40; the digest of their
+    # concatenated JSON certificates pins every byte of the paths and floats
+    rng = random.Random(43)
+    h = hashlib.sha256()
+    for _ in range(300):
+        g = random_ear_graph(rng, rng.randint(13, 40))
+        h.update(certificate_to_json(rewire(g, fiedler_vector(g))).encode("ascii"))
+    assert h.hexdigest() == (DATA / "certificates_random.sha256").read_text().strip()
 
 
 class TestStrictness:
