@@ -74,7 +74,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--checkpoint", help="JSONL row cache for resumable sweeps")
         else:
             p.add_argument("--n-max", type=int, required=True)
-        p.add_argument("--tol", type=float, default=1e-8, help="alpha equality filter")
+        p.add_argument(
+            "--tol", type=float, default=Margins.equal_tol, help="alpha equality filter"
+        )
         p.add_argument("--json", dest="json_path", help="also write the JSON report here")
         p.add_argument("--csv", dest="csv_path", help="also write the CSV report here")
     return parser

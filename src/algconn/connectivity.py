@@ -58,45 +58,42 @@ def articulation_vertices(g: Graph) -> list[int]:
 
 
 def _cut_vertices(g: Graph) -> list[int]:
+    """Cut vertices of a connected graph with n >= 1, by one lowpoint DFS
+    from vertex 0; both callers check connectivity first."""
     n = g.n
     disc = [-1] * n
     low = [0] * n
     parent = [-1] * n
     is_cut = [False] * n
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        root_children = 0
-        stack = [(root, iter(g.neighbors(root)))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for u in it:
-                if disc[u] == -1:
-                    parent[u] = v
-                    if v == root:
-                        root_children += 1
-                    disc[u] = low[u] = timer
-                    timer += 1
-                    stack.append((u, iter(g.neighbors(u))))
-                    advanced = True
-                    break
-                elif u != parent[v]:
-                    if disc[u] < low[v]:
-                        low[v] = disc[u]
-            if not advanced:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                    if p != root and low[v] >= disc[p]:
-                        is_cut[p] = True
-        if root_children >= 2:
-            is_cut[root] = True
+    disc[0] = 0
+    timer = 1
+    root_children = 0
+    stack = [(0, iter(g.neighbors(0)))]
+    while stack:
+        v, it = stack[-1]
+        advanced = False
+        for u in it:
+            if disc[u] == -1:
+                parent[u] = v
+                if v == 0:
+                    root_children += 1
+                disc[u] = low[u] = timer
+                timer += 1
+                stack.append((u, iter(g.neighbors(u))))
+                advanced = True
+                break
+            elif u != parent[v]:
+                if disc[u] < low[v]:
+                    low[v] = disc[u]
+        if not advanced:
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if p != 0 and low[v] >= disc[p]:
+                    is_cut[p] = True
+    is_cut[0] = root_children >= 2
     return [v for v in range(n) if is_cut[v]]
 
 

@@ -28,7 +28,8 @@ class Graph6Error(GraphError):
 
 
 class OrderLimitError(GraphError):
-    """Graph order exceeds the configured limit for this operation."""
+    """Graph order exceeds the fixed limit of this operation (canonical
+    forms, Hamiltonian search and enumeration each have one)."""
 
 
 class FamilySpecError(GraphError):
@@ -47,7 +48,10 @@ class RewireDefectError(AlgConnError):
     """Internal consistency failure while building a rewire certificate.
 
     Raised when the off-cycle interval assignment fails to partition the
-    off-cycle vertex set. This indicates a defect, not bad input.
+    off-cycle vertex set, the telescoping inequality fails on a pair of
+    P1, the quadratic-form chain q(G') <= q(C) <= q(G) breaks, the rewired
+    graph is not one spanning cycle, or a cycle sequence repeats a vertex.
+    This indicates a defect, not bad input.
     """
 
 

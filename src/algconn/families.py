@@ -1,7 +1,9 @@
 """Extremal graph families: cycles, chorded cycles, and theta graphs.
 
 Three chord patterns on the cycle 0..n-1 matter here, all symmetric under
-a reflection of the cycle:
+a reflection of the cycle. The table ``_CHORDS`` states each one as the
+parity of n, the least n, and a shift: chord i joins i and n-i-shift for
+1 <= i <= (n - least) // 2 + 1. That is
 
 * h1 (odd n >= 5): chords i-(n-i) for 1 <= i <= (n-3)/2;
 * h2 (even n >= 4): chords i-(n-i) for 1 <= i <= (n-2)/2;
@@ -39,20 +41,18 @@ class FamilyKind(str, enum.Enum):
         return self.value
 
 
+# chord kind -> (parity of n, least n, shift); chord i joins i and n-i-shift
+_CHORDS = {FamilyKind.H1: (1, 5, 0), FamilyKind.H2: (0, 4, 0), FamilyKind.H3: (0, 6, 1)}
+
+
 def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise FamilySpecError(f"cycle needs n >= 3, got n = {n}")
-    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return realize(FamilySpec(FamilyKind.CYCLE, n))
 
 
 def max_chord_index(kind: FamilyKind, n: int) -> int:
-    if kind == FamilyKind.H1:
-        return (n - 3) // 2
-    if kind == FamilyKind.H2:
-        return (n - 2) // 2
-    if kind == FamilyKind.H3:
-        return (n - 4) // 2
-    raise FamilySpecError(f"{kind} has no chord indices")
+    if kind not in _CHORDS:
+        raise FamilySpecError(f"{kind} has no chord indices")
+    return (n - _CHORDS[kind][1]) // 2 + 1
 
 
 @dataclass(frozen=True)
@@ -99,17 +99,12 @@ class FamilySpec:
             if n < 4:
                 raise FamilySpecError(f"theta needs n >= 4, got n = {n}")
             return
-        # chord kinds
-        if kind == FamilyKind.H1:
-            if n < 5 or n % 2 == 0:
-                raise FamilySpecError(f"h1 needs odd n >= 5, got n = {n}")
-        elif kind == FamilyKind.H2:
-            if n < 4 or n % 2 == 1:
-                raise FamilySpecError(f"h2 needs even n >= 4, got n = {n}")
-        elif kind == FamilyKind.H3:
-            if n < 6 or n % 2 == 1:
-                raise FamilySpecError(f"h3 needs even n >= 6, got n = {n}")
         cap = max_chord_index(kind, n)
+        parity, least, _ = _CHORDS[kind]
+        if n % 2 != parity or n < least:
+            raise FamilySpecError(
+                f"{kind} needs {('even', 'odd')[parity]} n >= {least}, got n = {n}"
+            )
         if not 1 <= len(idx) <= cap:
             raise FamilySpecError(
                 f"{kind} at n = {n} needs between 1 and {cap} chord indices, "
@@ -123,14 +118,10 @@ class FamilySpec:
 
     def chord_pairs(self) -> tuple[tuple[int, int], ...]:
         """Chord endpoint pairs, duplicates collapsed, in index order."""
-        n = self.n
-        if self.kind == FamilyKind.H3:
-            pairs = [(i, n - i - 1) for i in sorted(set(self.indices))]
-        elif self.kind in (FamilyKind.H1, FamilyKind.H2):
-            pairs = [(i, n - i) for i in sorted(set(self.indices))]
-        else:
-            pairs = []
-        return tuple(pairs)
+        if self.kind not in _CHORDS:
+            return ()
+        shift = _CHORDS[self.kind][2]
+        return tuple((i, self.n - i - shift) for i in sorted(set(self.indices)))
 
     def to_text(self) -> str:
         if self.kind == FamilyKind.CYCLE:
@@ -178,25 +169,15 @@ def _spec_int(field: str, text: str) -> int:
 def realize(spec: FamilySpec) -> Graph:
     """Construct the graph a FamilySpec names."""
     n = spec.n
-    if spec.kind == FamilyKind.CYCLE:
-        return cycle_graph(n)
     if spec.kind == FamilyKind.THETA:
-        l1, l2, l3 = spec.indices
-        # poles are 0 and l1; the three paths take consecutive labels
-        pairs = [(i, i + 1) for i in range(l1)]
-        prev = 0
-        for k in range(l1 + 1, l1 + l2):
-            pairs.append((prev, k))
-            prev = k
-        pairs.append((prev, l1))
-        prev = 0
-        for k in range(l1 + l2, l1 + l2 + l3 - 1):
-            pairs.append((prev, k))
-            prev = k
-        pairs.append((prev, l1))
+        l1, l2, _ = spec.indices
+        # poles are 0 and l1; the three paths take consecutive inner labels
+        pairs = []
+        for inner in (range(1, l1), range(l1 + 1, l1 + l2), range(l1 + l2, n)):
+            path = [0, *inner, l1]
+            pairs += zip(path, path[1:])
         return graph_from_edges(n, pairs)
-    g = cycle_graph(n)
-    return g.add_edges(spec.chord_pairs())
+    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)] + list(spec.chord_pairs()))
 
 
 def saturated(kind: FamilyKind, n: int) -> Graph:
@@ -208,12 +189,7 @@ def saturated(kind: FamilyKind, n: int) -> Graph:
 
 
 def applicable_chord_kinds(n: int) -> tuple[FamilyKind, ...]:
-    if n % 2 == 1:
-        return (FamilyKind.H1,) if n >= 5 else ()
-    kinds = [FamilyKind.H2] if n >= 4 else []
-    if n >= 6:
-        kinds.append(FamilyKind.H3)
-    return tuple(kinds)
+    return tuple(k for k, (parity, least, _) in _CHORDS.items() if n % 2 == parity and n >= least)
 
 
 def equality_family_specs(n: int) -> list[tuple[FamilySpec, Graph, str]]:
@@ -270,20 +246,20 @@ def enumerate_theta(n: int) -> list[Graph]:
 def single_chord_spec_for_triple(triple: tuple[int, int, int]) -> FamilySpec | None:
     """The one-chord family spec a theta length triple realizes, if any.
 
-    A chord i-(n-i) splits the cycle into arcs of lengths 2i and n-2i, and
-    a chord i-(n-i-1) into 2i+1 and n-2i-1; so the triples realized by
-    one-chord family members are exactly those with a length-1 path.
+    A chord i-(n-i-shift) splits the cycle into arcs of lengths 2i+shift
+    and n-2i-shift; so the triples realized by one-chord family members
+    are exactly those with a length-1 path, and the first arc of the
+    kind's parity names the chord.
     """
     l1, l2, l3 = triple
     if l1 != 1:
         return None
     n = l2 + l3
-    if n % 2 == 1:
-        even = l2 if l2 % 2 == 0 else l3
-        return FamilySpec(FamilyKind.H1, n, (even // 2,))
-    if l2 % 2 == 0:
-        return FamilySpec(FamilyKind.H2, n, (l2 // 2,))
-    return FamilySpec(FamilyKind.H3, n, ((l2 - 1) // 2,))
+    for kind in applicable_chord_kinds(n):
+        for arc in (l2, l3):
+            if arc % 2 == _CHORDS[kind][2]:
+                return FamilySpec(kind, n, (arc // 2,))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -296,19 +272,17 @@ def single_chord_spec_for_triple(triple: tuple[int, int, int]) -> FamilySpec | N
 def symmetric_alpha_vector(n: int, kind: FamilyKind) -> np.ndarray:
     """Cycle alpha-eigenvector constant on the given kind's chord pairs.
 
-    h1/h2 chords pair j with n-j, fixed by x_j = cos(2*pi*j/n); h3 chords
-    pair j with n-j-1, fixed by x_j = cos(2*pi*(j+1/2)/n).
+    Chords pair j with n-j-shift, fixed by x_j = cos(2*pi*(j+shift/2)/n).
     """
-    if kind in (FamilyKind.H1, FamilyKind.H2):
-        return np.array([cos(2.0 * pi * j / n) for j in range(n)])
-    if kind == FamilyKind.H3:
-        return np.array([cos(2.0 * pi * (j + 0.5) / n) for j in range(n)])
-    raise FamilySpecError(f"no symmetric chord eigenvector for kind {kind}")
+    if kind not in _CHORDS:
+        raise FamilySpecError(f"no symmetric chord eigenvector for kind {kind}")
+    half = _CHORDS[kind][2] / 2
+    return np.array([cos(2.0 * pi * (j + half) / n) for j in range(n)])
 
 
 def chord_increments(spec: FamilySpec) -> list[float]:
     """Squared x-differences across each chord under the analytic vector."""
-    if spec.kind not in (FamilyKind.H1, FamilyKind.H2, FamilyKind.H3):
+    if spec.kind not in _CHORDS:
         raise FamilySpecError(f"chord increments need a chord kind, got {spec.kind}")
     x = symmetric_alpha_vector(spec.n, spec.kind)
     return [float((x[u] - x[v]) ** 2) for u, v in spec.chord_pairs()]

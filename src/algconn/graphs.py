@@ -72,8 +72,9 @@ class Graph:
         return bool(self._rows[u] >> v & 1)
 
     def neighbors(self, v: int) -> list[int]:
-        if not 0 <= v < self.n:
-            raise VertexSetError(f"vertex {v} outside range 0..{self.n - 1}")
+        # inline, not a helper call: the lowpoint DFS asks once per vertex
+        if not (isinstance(v, (int, np.integer)) and 0 <= v < self.n):
+            raise VertexSetError(f"vertex {v!r} is not an integer in 0..{self.n - 1}")
         row = self._rows[v]
         out = []
         while row:
@@ -83,8 +84,8 @@ class Graph:
         return out
 
     def degree(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise VertexSetError(f"vertex {v} outside range 0..{self.n - 1}")
+        if not (isinstance(v, (int, np.integer)) and 0 <= v < self.n):
+            raise VertexSetError(f"vertex {v!r} is not an integer in 0..{self.n - 1}")
         return int(self._rows[v]).bit_count()
 
     def degrees(self) -> list[int]:
@@ -107,12 +108,6 @@ class Graph:
             raise EdgeMissingError(f"edge ({u}, {v}) not present")
         return Graph(self.n, self.edges - {(u, v)})
 
-    def add_edges(self, pairs) -> "Graph":
-        g = self
-        for u, v in pairs:
-            g = g.add_edge(u, v)
-        return g
-
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.n, self.n), dtype=np.int64)
         for u, v in self.edges:
@@ -123,8 +118,7 @@ class Graph:
     def laplacian(self) -> np.ndarray:
         """Degree-minus-adjacency matrix, exact int64 entries."""
         lap = -self.adjacency_matrix()
-        for v in range(self.n):
-            lap[v, v] = self.degree(v)
+        np.fill_diagonal(lap, self.degrees())
         return lap
 
     def to_graph6(self) -> str:

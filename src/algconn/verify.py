@@ -40,9 +40,9 @@ import time
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
-from .canon import canonical_form
+from .canon import ORDER_LIMIT, canonical_form
 from .connectivity import hamiltonian_cycle, is_biconnected
-from .enumeration import CanonicalCode, enumerate_graphs
+from .enumeration import ENUMERATION_LIMIT, CanonicalCode, enumerate_graphs
 from .errors import AlgConnError, VerificationError
 from .families import (
     FamilyKind,
@@ -253,8 +253,10 @@ def verify_theorem_1(
     checkpoint file as they finish, so an interrupted sweep resumes there;
     resumed rows get the same checks and verdict as computed ones.
     """
-    if not 4 <= n <= 9:
-        raise VerificationError(f"biconnected sweep covers 4 <= n <= 9, got n = {n}")
+    if not 4 <= n <= ENUMERATION_LIMIT:
+        raise VerificationError(
+            f"biconnected sweep covers 4 <= n <= {ENUMERATION_LIMIT}, got n = {n}"
+        )
     # a pool forks all its workers at the first submit
     cpus = os.cpu_count() or 1
     if not 1 <= jobs <= cpus:
@@ -295,7 +297,7 @@ def _theta_row(triple: tuple[int, int, int], margins: Margins) -> SweepRow:
     # triples are complete isomorphism invariants for theta graphs, so for
     # orders past the canonical-form cap the constructed labeling's code
     # stands in as the row key
-    code = canonical_form(g) if g.n <= 12 else g.to_graph6()
+    code = canonical_form(g) if g.n <= ORDER_LIMIT else g.to_graph6()
     spec = single_chord_spec_for_triple(triple)
     # a theta graph has a spanning cycle exactly when its third path is
     # a bare edge: any cycle in it is the union of two of the paths

@@ -1,8 +1,10 @@
 """Family constructors, the equality-case catalog, and the zero-increment
 chord mechanism that makes every family member match the cycle's alpha."""
 
+import hashlib
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,8 @@ from algconn.families import (
 )
 from algconn.graphs import graph_from_edges
 from algconn.spectra import algebraic_connectivity, alpha_cycle_closed_form
+
+DATA = Path(__file__).parent / "data"
 
 
 def k23():
@@ -325,3 +329,45 @@ class TestZeroIncrement:
                     for combo in itertools.combinations(range(1, cap + 1), size):
                         g = realize(FamilySpec(kind, n, combo))
                         assert abs(algebraic_connectivity(g) - ref) <= 1e-9
+
+
+def families_digest() -> str:
+    """One sha256 over the chord facts, spec errors, cycles, theta graphs
+    and equality catalogs that the family constructors produce."""
+    h = hashlib.sha256()
+
+    def put(*items):
+        h.update(repr(items).encode("ascii"))
+
+    for n in range(3, 41):
+        kinds = applicable_chord_kinds(n)
+        put(n, [str(k) for k in kinds])
+        for kind in kinds:
+            put(max_chord_index(kind, n), symmetric_alpha_vector(n, kind).tobytes())
+    for kind in FamilyKind:
+        for n in range(3, 13):
+            try:
+                FamilySpec(kind, n, (1,))
+                put(str(kind), n, None)
+            except FamilySpecError as exc:
+                put(str(kind), n, str(exc))
+    for n in range(3, 41):
+        put(cycle_graph(n).edge_list)
+    for n in range(4, 41):
+        for triple in theta_triples(n):
+            spec = single_chord_spec_for_triple(triple)
+            put(
+                triple,
+                realize(FamilySpec(FamilyKind.THETA, n, triple)).edge_list,
+                spec and spec.to_text(),
+            )
+    for n in range(4, 13):
+        for spec, g, code in equality_family_specs(n):
+            put(spec.to_text(), code, g.edge_list)
+    return h.hexdigest()
+
+
+def test_families_match_digest():
+    # chord caps and vectors for n <= 40, spec errors for n <= 12, cycles
+    # and theta graphs for n <= 40 and equality catalogs for n <= 12
+    assert families_digest() == (DATA / "families.sha256").read_text().strip()

@@ -79,6 +79,19 @@ class TestGraphBasics:
                 with pytest.raises(VertexSetError):
                     build(3, [pair])
 
+    @pytest.mark.parametrize("v", [0.0, 1.5, "1", None, -1, 4])
+    def test_vertex_queries_reject_non_vertices(self, v):
+        g = complete_graph(4)
+        with pytest.raises(VertexSetError, match="not an integer in 0..3"):
+            g.neighbors(v)
+        with pytest.raises(VertexSetError, match="not an integer in 0..3"):
+            g.degree(v)
+
+    def test_vertex_queries_accept_numpy_integers(self):
+        g = cycle(5)
+        assert g.neighbors(np.int64(2)) == [1, 3]
+        assert g.degree(np.int64(2)) == 2
+
     def test_rejects_duplicate_edge(self):
         for build in CONSTRUCTORS:
             with pytest.raises(EdgeExistsError):
