@@ -1,7 +1,8 @@
 """Connectivity structure: cut vertices, vertex connectivity, disjoint paths.
 
-Reachability runs on the graph's bitmask rows, one breadth-first frontier
-at a time, peeling set bits lowest first.
+Reachability is a breadth-first search over the graph's bitmask rows, one
+frontier at a time, peeling set bits lowest first; cut vertices come from
+one lowpoint depth-first search over the same rows.
 
 Local connectivity between two vertices uses Menger's theorem on the
 vertex-split digraph: v_in -> v_out has capacity 1, and each edge uv gives
@@ -51,57 +52,55 @@ def connected_within(rows, alive: int) -> bool:
 
 
 def articulation_vertices(g: Graph) -> list[int]:
-    """Cut vertices of a connected graph, by one lowpoint DFS pass."""
-    if not is_connected(g):
+    """Cut vertices of a connected graph, ascending, by one lowpoint DFS."""
+    cut = _cut_mask(g._rows)
+    if cut is None:
         raise GraphError("articulation vertices are defined here for connected graphs")
-    return _cut_vertices(g)
-
-
-def _cut_vertices(g: Graph) -> list[int]:
-    """Cut vertices of a connected graph with n >= 1, by one lowpoint DFS
-    from vertex 0; both callers check connectivity first."""
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    is_cut = [False] * n
-    disc[0] = 0
-    timer = 1
-    root_children = 0
-    stack = [(0, iter(g.neighbors(0)))]
-    while stack:
-        v, it = stack[-1]
-        advanced = False
-        for u in it:
-            if disc[u] == -1:
-                parent[u] = v
-                if v == 0:
-                    root_children += 1
-                disc[u] = low[u] = timer
-                timer += 1
-                stack.append((u, iter(g.neighbors(u))))
-                advanced = True
-                break
-            elif u != parent[v]:
-                if disc[u] < low[v]:
-                    low[v] = disc[u]
-        if not advanced:
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                if low[v] < low[p]:
-                    low[p] = low[v]
-                if p != 0 and low[v] >= disc[p]:
-                    is_cut[p] = True
-    is_cut[0] = root_children >= 2
-    return [v for v in range(n) if is_cut[v]]
+    return [v for v in range(g.n) if cut >> v & 1]
 
 
 def is_biconnected(g: Graph) -> bool:
     """Connected, at least 3 vertices, and free of cut vertices."""
-    if g.n < 3 or not is_connected(g):
-        return False
-    return not _cut_vertices(g)
+    return g.n >= 3 and _cut_mask(g._rows) == 0
+
+
+def _cut_mask(rows) -> int | None:
+    """Cut vertices as a bitmask; None when n = 0 or vertex 0 cannot reach all.
+
+    One iterative lowpoint DFS from vertex 0, in which todo[v] holds the
+    neighbours v has yet to scan; it finds reachability on its way, where
+    connected_within would be a second pass. The edge back to the parent p
+    counts as a back edge, which the cut test low[v] >= disc[p] tolerates.
+    """
+    n = len(rows)
+    if not n:
+        return None
+    todo, disc, low = list(rows), [0] * n, [0] * n  # disc 0: not yet seen
+    disc[0] = low[0] = seen = 1
+    stack, cut = [0, 0], 0  # the root stands in as its own parent
+    while len(stack) > 1:
+        v = stack[-1]
+        t = todo[v]
+        while t:
+            b = t & -t
+            t ^= b
+            u = b.bit_length() - 1
+            if not disc[u]:
+                todo[v] = t
+                seen += 1
+                disc[u] = low[u] = seen
+                stack.append(u)
+                break
+            if disc[u] < low[v]:
+                low[v] = disc[u]
+        else:
+            stack.pop()
+            p = stack[-1]
+            if low[v] < low[p]:
+                low[p] = low[v]
+            if low[v] >= disc[p] and (p or seen < n):  # the root: if a subtree left some unseen
+                cut |= 1 << p
+    return cut if seen == n else None
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +227,7 @@ def is_theta(g: Graph) -> bool:
     A biconnected graph with m = n + 1 is exactly a cycle plus one path
     glued at two distinct vertices, which is a theta graph.
     """
-    if g.n < 4 or g.m != g.n + 1:
-        return False
-    if not is_biconnected(g):
+    if g.n < 4 or g.m != g.n + 1 or not is_biconnected(g):
         return False
     degs = sorted(g.degrees())
     return degs[:-2] == [2] * (g.n - 2) and degs[-2:] == [3, 3]
@@ -240,10 +237,9 @@ def theta_length_triple(g: Graph) -> tuple[int, int, int]:
     """Sorted path lengths between the two branch vertices of a theta graph."""
     if not is_theta(g):
         raise GraphError("not a theta graph")
-    branch = [v for v in range(g.n) if g.degree(v) == 3]
+    branch = [v for v, d in enumerate(g.degrees()) if d == 3]
     ps = inner_disjoint_paths(g, branch[0], branch[1], 3)
-    lens = sorted(len(p) - 1 for p in ps.paths)
-    return (lens[0], lens[1], lens[2])
+    return tuple(sorted(len(p) - 1 for p in ps.paths))
 
 
 HAMILTONIAN_ORDER_LIMIT = 12

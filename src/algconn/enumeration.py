@@ -18,9 +18,10 @@ connected, so its class has a representative P in level n-1, and some
 mask rebuilds G from P with v* in the role of k. No vertex of that
 child outranks k by f and is a non-cut vertex, so it is accepted. Ties
 let several children of one class through; the set of canonical codes
-removes those duplicates. Levels are cached per process; predicates
-(biconnected, anything else over connected graphs) filter the cached
-stream.
+removes those duplicates. Levels are cached per process, except that a
+build given an rng shuffles and rebuilds every level and caches none;
+predicates (biconnected, anything else over connected graphs) filter the
+level's stream.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable, Iterator
 
 from .canon import canonical_form
 from .connectivity import connected_within
-from .errors import OrderLimitError
+from .errors import OrderLimitError, as_index
 from .graphs import Graph, graph_from_graph6
 
 ENUMERATION_LIMIT = 9
@@ -53,12 +54,10 @@ class CanonicalCode:
 
 def _connected_codes(n: int, rng: random.Random | None = None) -> tuple[str, ...]:
     """Canonical codes of all connected isomorphism classes of order n."""
-    if n in _level_cache:
+    if rng is None and n in _level_cache:
         return _level_cache[n]
     if n == 1:
-        codes: tuple[str, ...] = (canonical_form(Graph(1, frozenset())),)
-        _level_cache[1] = codes
-        return codes
+        return (canonical_form(Graph(1, frozenset())),)
     base = list(_connected_codes(n - 1, rng))
     if rng is not None:
         rng.shuffle(base)
@@ -127,6 +126,7 @@ def enumerate_graphs(
     graphs are never produced. Passing an rng permutes internal branching
     order (a robustness knob for tests); the emitted set is unchanged.
     """
+    n = as_index(n, OrderLimitError, "enumeration order")
     if not 1 <= n <= ENUMERATION_LIMIT:
         raise OrderLimitError(
             f"enumeration is supported for 1 <= n <= {ENUMERATION_LIMIT}, got n = {n}"

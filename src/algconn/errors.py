@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, plus its integer check."""
+
+import operator
 
 
 class AlgConnError(Exception):
@@ -57,3 +59,12 @@ class RewireDefectError(AlgConnError):
 
 class VerificationError(AlgConnError):
     """A verification sweep found a bound violation or equality mismatch."""
+
+
+def as_index(value, error: type[AlgConnError], what: str) -> int:
+    """value as a plain int by operator.index (ints, bools and numpy
+    integers pass); anything else raises error, naming the value."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None

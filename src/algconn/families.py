@@ -26,7 +26,7 @@ from math import cos, pi
 import numpy as np
 
 from .canon import canonical_form
-from .errors import FamilySpecError
+from .errors import FamilySpecError, as_index
 from .graphs import Graph, graph_from_edges
 
 
@@ -69,10 +69,11 @@ class FamilySpec:
     indices: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        kind, n, idx = self.kind, self.n, tuple(self.indices)
+        kind = self.kind
+        n = as_index(self.n, FamilySpecError, "family order")
+        idx = tuple(as_index(i, FamilySpecError, "family index") for i in self.indices)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "indices", idx)
-        if any(not isinstance(i, int) for i in idx):
-            raise FamilySpecError(f"indices must be integers, got {idx!r}")
         if list(idx) != sorted(idx):
             raise FamilySpecError(f"indices must be sorted ascending, got {idx!r}")
         if kind == FamilyKind.CYCLE:
@@ -227,6 +228,7 @@ def equality_family(n: int) -> list[Graph]:
 
 def theta_triples(n: int) -> list[tuple[int, int, int]]:
     """Admissible sorted path-length triples for theta graphs of order n."""
+    n = as_index(n, FamilySpecError, "theta order")
     if n < 4:
         raise FamilySpecError(f"theta graphs start at n = 4, got n = {n}")
     out = []

@@ -19,6 +19,7 @@ from .errors import (
     Graph6Error,
     GraphError,
     VertexSetError,
+    as_index,
 )
 
 GRAPH6_HEADER = ">>graph6<<"
@@ -48,9 +49,10 @@ class Graph:
     _rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = self.n
-        if not isinstance(n, int) or n < 0:
-            raise VertexSetError(f"vertex count must be a nonnegative int, got {n!r}")
+        n = as_index(self.n, VertexSetError, "vertex count")
+        if n < 0:
+            raise VertexSetError(f"vertex count must be nonnegative, got {n}")
+        object.__setattr__(self, "n", n)
         rows = [0] * n
         pairs = []
         for u, v in self.edges:
@@ -71,11 +73,13 @@ class Graph:
         u, v = _normalize_edge(u, v, self.n)
         return bool(self._rows[u] >> v & 1)
 
-    def neighbors(self, v: int) -> list[int]:
-        # inline, not a helper call: the lowpoint DFS asks once per vertex
+    def _row(self, v: int) -> int:
         if not (isinstance(v, (int, np.integer)) and 0 <= v < self.n):
             raise VertexSetError(f"vertex {v!r} is not an integer in 0..{self.n - 1}")
-        row = self._rows[v]
+        return self._rows[v]
+
+    def neighbors(self, v: int) -> list[int]:
+        row = self._row(v)
         out = []
         while row:
             low = row & -row
@@ -84,9 +88,7 @@ class Graph:
         return out
 
     def degree(self, v: int) -> int:
-        if not (isinstance(v, (int, np.integer)) and 0 <= v < self.n):
-            raise VertexSetError(f"vertex {v!r} is not an integer in 0..{self.n - 1}")
-        return int(self._rows[v]).bit_count()
+        return self._row(v).bit_count()
 
     def degrees(self) -> list[int]:
         return [int(r).bit_count() for r in self._rows]

@@ -43,7 +43,7 @@ from functools import lru_cache
 from .canon import ORDER_LIMIT, canonical_form
 from .connectivity import hamiltonian_cycle, is_biconnected
 from .enumeration import ENUMERATION_LIMIT, CanonicalCode, enumerate_graphs
-from .errors import AlgConnError, VerificationError
+from .errors import AlgConnError, VerificationError, as_index
 from .families import (
     FamilyKind,
     FamilySpec,
@@ -253,12 +253,14 @@ def verify_theorem_1(
     checkpoint file as they finish, so an interrupted sweep resumes there;
     resumed rows get the same checks and verdict as computed ones.
     """
+    n = as_index(n, VerificationError, "sweep order")
     if not 4 <= n <= ENUMERATION_LIMIT:
         raise VerificationError(
             f"biconnected sweep covers 4 <= n <= {ENUMERATION_LIMIT}, got n = {n}"
         )
     # a pool forks all its workers at the first submit
     cpus = os.cpu_count() or 1
+    jobs = as_index(jobs, VerificationError, "jobs")
     if not 1 <= jobs <= cpus:
         raise VerificationError(f"jobs must lie in 1..{cpus} (the CPU count), got {jobs}")
     start = time.monotonic()
@@ -306,6 +308,7 @@ def _theta_row(triple: tuple[int, int, int], margins: Margins) -> SweepRow:
 
 def verify_theorem_2(n_max: int, margins: Margins = Margins()) -> list[VerificationReport]:
     """Sweep all theta graphs for each order 4..n_max, one report per order."""
+    n_max = as_index(n_max, VerificationError, "theta sweep order")
     if not 4 <= n_max <= 40:
         raise VerificationError(f"theta sweep covers 4 <= n_max <= 40, got {n_max}")
     reports = []

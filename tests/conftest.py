@@ -1,6 +1,22 @@
 import pytest
 
+from algconn import enumeration
 from algconn.verify import verify_theorem_1
+
+
+@pytest.fixture
+def canonical_calls(monkeypatch):
+    """The graph6 text of each graph level construction canonicalizes, in
+    call order; a level served from the cache adds nothing."""
+    calls = []
+    canonical = enumeration.canonical_form
+
+    def recorded(g):
+        calls.append(g.to_graph6())
+        return canonical(g)
+
+    monkeypatch.setattr(enumeration, "canonical_form", recorded)
+    return calls
 
 
 @pytest.fixture(scope="session")

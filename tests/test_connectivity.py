@@ -90,18 +90,23 @@ class TestArticulation:
         assert articulation_vertices(path_graph(4)) == [1, 2]
 
     def test_disconnected_rejected(self):
-        with pytest.raises(GraphError):
-            articulation_vertices(graph_from_edges(4, [(0, 1), (2, 3)]))
+        for g in (graph_from_edges(4, [(0, 1), (2, 3)]), Graph(0, frozenset())):
+            with pytest.raises(GraphError):
+                articulation_vertices(g)
 
     def test_against_reference(self):
         rng = random.Random(13)
-        checked = 0
-        while checked < 60:
-            g = random_graph(rng, rng.randrange(3, 10), 0.35)
-            if not is_connected(g):
-                continue
-            assert sorted(articulation_vertices(g)) == sorted(nx.articulation_points(to_nx(g)))
-            checked += 1
+        graphs = [g for n in range(1, 8) for g in enumerate_graphs(n, lambda _: True)]
+        randoms = (random_graph(rng, rng.randrange(3, 10), 0.35) for _ in itertools.count())
+        graphs += itertools.islice(filter(is_connected, randoms), 60)
+        # masks wider than 64 bits, with cut vertices on a glued pendant path
+        for _ in range(8):
+            g = random_ear_graph(rng, rng.randint(63, 100))
+            path = [rng.randrange(g.n), *range(g.n, g.n + rng.randint(1, 4))]
+            graphs.append(Graph(path[-1] + 1, g.edges | set(zip(path, path[1:]))))
+        graphs.append(path_graph(3000))
+        for g in graphs:
+            assert articulation_vertices(g) == sorted(nx.articulation_points(to_nx(g)))
 
 
 class TestBiconnected:
@@ -109,6 +114,11 @@ class TestBiconnected:
         assert is_biconnected(cycle(4))
         assert not is_biconnected(graph_from_edges(2, [(0, 1)]))
         assert is_biconnected(k23())
+        for n in range(3):
+            assert not is_biconnected(Graph(n, frozenset()))
+        assert not is_biconnected(graph_from_edges(6, [*cycle(3).edges, (3, 4), (4, 5), (3, 5)]))
+        # deeper than the recursion limit: the DFS must stay iterative
+        assert is_biconnected(cycle(3000))
 
     def test_definitional_cross_check_exhaustive_n5(self):
         # every labeled graph on 5 vertices vs deleted-vertex connectivity

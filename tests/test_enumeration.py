@@ -106,20 +106,11 @@ def test_shuffled_parents_and_masks_same_codes(cold_level_cache):
     assert shuffled == [want, want]
 
 
-def test_acceptance_test_prunes_canonical_calls(cold_level_cache, monkeypatch):
+def test_acceptance_test_prunes_canonical_calls(cold_level_cache, canonical_calls):
     # extending every class by every mask makes 7,813 canonical-form calls
     # for levels <= 7; the acceptance test must cut most of them
-    calls = 0
-    canonical = enumeration.canonical_form
-
-    def counted(g):
-        nonlocal calls
-        calls += 1
-        return canonical(g)
-
-    monkeypatch.setattr(enumeration, "canonical_form", counted)
     assert len(_connected_codes(7)) == CONNECTED_CLASS_COUNTS[7]
-    assert calls < 2500
+    assert len(canonical_calls) < 2500
 
 
 def test_frozen_regression_counts():
@@ -167,12 +158,18 @@ def test_theta_counts_match_triple_enumeration():
         assert count_classes(n, is_theta) == len(theta_triples(n))
 
 
-def test_permutation_robustness():
+def test_permutation_robustness(cold_level_cache, canonical_calls):
+    # the plain build fills the level cache; each seeded build must still
+    # canonicalize the same children, in another order
     base = [g.to_graph6() for g in enumerate_graphs(6, is_biconnected)]
+    children = list(canonical_calls)
     for seed in (1, 7, 42):
+        canonical_calls.clear()
         rng = random.Random(seed)
         shuffled = [g.to_graph6() for g in enumerate_graphs(6, is_biconnected, rng)]
         assert shuffled == base
+        assert sorted(canonical_calls) == sorted(children)
+        assert canonical_calls != children
 
 
 def test_order_limits():
@@ -180,6 +177,8 @@ def test_order_limits():
         list(enumerate_graphs(10, lambda _: True))
     with pytest.raises(OrderLimitError):
         list(enumerate_graphs(0, lambda _: True))
+    with pytest.raises(OrderLimitError, match="5.0"):
+        list(enumerate_graphs(5.0, lambda _: True))
 
 
 def test_graph6_stream_dump(tmp_path):

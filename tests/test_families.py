@@ -89,6 +89,16 @@ class TestFamilySpecValidation:
         spec = FamilySpec(FamilyKind.THETA, 5, (2, 2, 2))
         assert spec.indices == (2, 2, 2)
 
+    def test_integers_by_operator_index(self):
+        with pytest.raises(FamilySpecError, match="5.0"):
+            cycle_graph(5.0)
+        with pytest.raises(FamilySpecError, match="'1'"):
+            FamilySpec(FamilyKind.H1, 7, ("1",))
+        assert FamilySpec(FamilyKind.THETA, 8, (True, 3, 5)).to_text() == "theta:1,3,5"
+        spec = FamilySpec(FamilyKind.H2, np.int64(8), (np.int64(1),))
+        assert spec == FamilySpec(FamilyKind.H2, 8, (1,))
+        assert [type(x) for x in (spec.n, *spec.indices)] == [int, int]
+
 
 class TestRealize:
     def test_h1_order5(self):
@@ -214,6 +224,12 @@ class TestThetaTriples:
 
     def test_n6(self):
         assert theta_triples(6) == [(1, 2, 4), (1, 3, 3), (2, 2, 3)]
+
+    def test_order_limits(self):
+        with pytest.raises(FamilySpecError):
+            theta_triples(3)
+        with pytest.raises(FamilySpecError, match="6.0"):
+            theta_triples(6.0)
 
     def test_triples_classify_up_to_isomorphism(self):
         for n in range(4, 9):

@@ -62,6 +62,13 @@ class TestGraphBasics:
         g = graph_from_edges(2, [])
         assert g.m == 0 and g.n == 2
 
+    def test_vertex_count_by_operator_index(self):
+        g = Graph(np.int64(3), [])
+        assert g == empty_graph(3) and type(g.n) is int
+        for n in (3.0, "3", None, -1):
+            with pytest.raises(VertexSetError):
+                Graph(n, [])
+
     def test_rejects_loop(self):
         for build in CONSTRUCTORS:
             with pytest.raises(VertexSetError):

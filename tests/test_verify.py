@@ -153,6 +153,8 @@ def test_sweep_order_range():
         verify_theorem_1(3)
     with pytest.raises(VerificationError):
         verify_theorem_1(10)
+    with pytest.raises(VerificationError, match="7.0"):
+        verify_theorem_1(7.0)
 
 
 def test_sweep_deterministic():
@@ -324,7 +326,7 @@ def test_margins_reject_non_finite_or_negative(field, value):
         Margins(**{field: value})
 
 
-@pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1, 5000])
+@pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1, 5000, 1.5])
 def test_sweep_jobs_validated_before_pool(monkeypatch, jobs):
     def no_pool(*args, **kwargs):
         raise AssertionError("process pool constructed")
@@ -451,6 +453,8 @@ def test_theta_sweep_range():
         verify_theorem_2(3)
     with pytest.raises(VerificationError):
         verify_theorem_2(41)
+    with pytest.raises(VerificationError, match="5.5"):
+        verify_theorem_2(5.5)
 
 
 # ---------------------------------------------------------------------------
