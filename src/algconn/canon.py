@@ -5,8 +5,9 @@ the adjacency bit string lexicographically over all n! permutations, found
 exactly by a depth-first search in plain Python over integer columns
 (canon_min_bits). Placing vertex v at position d contributes the d bits
 of v's adjacency to the vertices already placed, v's column; read as an
-int, a column compares like its bits. Two graphs are isomorphic iff their
-canonical forms are equal.
+int, a column compares like its bits. canon_min_bits returns the minimal
+string as one int too, and graphs.graph6_from_int writes it out. Two
+graphs are isomorphic iff their canonical forms are equal.
 
 The first k columns are all zero iff the first k vertices are independent,
 and a vertex placed after a maximum independent set S has a 1 in its
@@ -42,7 +43,7 @@ best string found so far.
 from __future__ import annotations
 
 from .errors import OrderLimitError
-from .graphs import Graph, graph6_from_bits
+from .graphs import Graph, graph6_from_int
 
 ORDER_LIMIT = 12
 
@@ -53,7 +54,7 @@ def canonical_form(g: Graph) -> str:
         raise OrderLimitError(
             f"canonical form is exhaustive and capped at n = {ORDER_LIMIT}, got n = {g.n}"
         )
-    return graph6_from_bits(g.n, canon_min_bits(g._rows))
+    return graph6_from_int(g.n, canon_min_bits(g._rows))
 
 
 def degree_profile(g: Graph) -> tuple[int, ...]:
@@ -69,16 +70,18 @@ def is_isomorphic(a: Graph, b: Graph) -> bool:
     return canonical_form(a) == canonical_form(b)
 
 
-def canon_min_bits(rows: tuple[int, ...]) -> list[int]:
-    """Lexicographically minimal upper-triangle bit string over relabelings.
+def canon_min_bits(rows: tuple[int, ...]) -> int:
+    """Lexicographically minimal upper-triangle bit string over relabelings,
+    returned as one int whose most significant bit is the string's first.
 
     rows are the adjacency bitmasks (bit u of rows[v] is the edge uv). Bit
     order matches graph6: for j = 1..n-1, the bits of pairs (0,j), ..,
     (j-1,j). The string is the concatenation of the columns of positions
-    0..n-1, and its leading zero columns are those of a maximum independent
-    set S (module docstring). Phase (a), _choose, lists the candidates for
-    S as sets; maximality is judged only at its leaves, because a vertex
-    left out early can be covered by a later member. Phase (b), _extend,
+    0..n-1 (column d is a d-bit int, so each is shifted in), and its
+    leading zero columns are those of a maximum independent set S (module
+    docstring). Phase (a), _choose, lists the candidates for S as sets;
+    maximality is judged only at its leaves, because a vertex left out
+    early can be covered by a later member. Phase (b), _extend,
     runs once per candidate S with one shared best string: it places the
     other vertices by minimum column and orders S by greedy cell splits,
     which for a fixed order of those vertices is the least order of S, as
@@ -100,7 +103,10 @@ def canon_min_bits(rows: tuple[int, ...]) -> list[int]:
         rest = [v for v in range(n) if not s >> v & 1]
         cols = [_over_s([s], rows[v]) for v in rest]
         _extend(rows, twins, rest, cols, full ^ s, [s], [0] * s.bit_count(), best, False)
-    return [col >> (d - 1 - i) & 1 for d, col in enumerate(best) for i in range(d)]
+    bits = 0
+    for d, col in enumerate(best):
+        bits = bits << d | col
+    return bits
 
 
 def _choose(rows, twins, full, s, covered, cand, sets) -> None:

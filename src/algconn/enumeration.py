@@ -19,9 +19,15 @@ mask rebuilds G from P with v* in the role of k. No vertex of that
 child outranks k by f and is a non-cut vertex, so it is accepted. Ties
 let several children of one class through; the set of canonical codes
 removes those duplicates. Levels are cached per process, except that a
-build given an rng shuffles and rebuilds every level and caches none;
-predicates (biconnected, anything else over connected graphs) filter the
-level's stream.
+build given an rng shuffles and rebuilds every level and caches none.
+
+A predicate (biconnected, anything else over connected graphs) filters
+the top level only, and before the costly step: each accepted child of
+order n is tested, and only those that pass get a canonical form. That
+is sound because the predicate must be an isomorphism invariant, so the
+accepted children of one class pass or fail together. The levels below
+stay unfiltered and cached; a filtered level is built on every call and
+never enters the cache.
 """
 
 from __future__ import annotations
@@ -52,12 +58,23 @@ class CanonicalCode:
         return cls(n=g.n, code=canonical_form(g))
 
 
-def _connected_codes(n: int, rng: random.Random | None = None) -> tuple[str, ...]:
-    """Canonical codes of all connected isomorphism classes of order n."""
-    if rng is None and n in _level_cache:
+def _connected_codes(
+    n: int,
+    rng: random.Random | None = None,
+    predicate: Callable[[Graph], bool] | None = None,
+) -> tuple[str, ...]:
+    """Canonical codes of the connected isomorphism classes of order n.
+
+    With a predicate, only the classes that pass it: each accepted child
+    of order n is tested before its canonical form is computed, and the
+    result is not cached.
+    """
+    cacheable = rng is None and predicate is None
+    if cacheable and n in _level_cache:
         return _level_cache[n]
     if n == 1:
-        return (canonical_form(Graph(1, frozenset())),)
+        g = Graph(1, frozenset())
+        return (canonical_form(g),) if predicate is None or predicate(g) else ()
     base = list(_connected_codes(n - 1, rng))
     if rng is not None:
         rng.shuffle(base)
@@ -75,9 +92,11 @@ def _connected_codes(n: int, rng: random.Random | None = None) -> tuple[str, ...
             for u in range(k):
                 if mask >> u & 1:
                     pairs.append((u, k))
-            out.add(canonical_form(Graph(n, frozenset(pairs))))
+            child = Graph(n, frozenset(pairs))
+            if predicate is None or predicate(child):
+                out.add(canonical_form(child))
     codes = tuple(sorted(out))
-    if rng is None:
+    if cacheable:
         _level_cache[n] = codes
     return codes
 
@@ -111,7 +130,13 @@ def _k_may_be_deleted(parent_rows: tuple[int, ...], mask: int) -> bool:
 
 
 def _neighbour_degrees(row: int, deg: list[int]) -> list[int]:
-    return sorted(deg[u] for u in range(len(deg)) if row >> u & 1)
+    out = []
+    while row:
+        low = row & -row
+        out.append(deg[low.bit_length() - 1])
+        row ^= low
+    out.sort()
+    return out
 
 
 def enumerate_graphs(
@@ -123,18 +148,20 @@ def enumerate_graphs(
     predicate, in canonical-code order.
 
     The predicate is applied within the connected classes; disconnected
-    graphs are never produced. Passing an rng permutes internal branching
-    order (a robustness knob for tests); the emitted set is unchanged.
+    graphs are never produced. It must be an isomorphism invariant: it is
+    tested on each accepted child of order n before that child's canonical
+    form is computed, so any one labelling of a class decides it. A level
+    filtered this way is rebuilt on every call and never cached. Passing
+    an rng permutes internal branching order (a robustness knob for
+    tests); the emitted set is unchanged.
     """
     n = as_index(n, OrderLimitError, "enumeration order")
     if not 1 <= n <= ENUMERATION_LIMIT:
         raise OrderLimitError(
             f"enumeration is supported for 1 <= n <= {ENUMERATION_LIMIT}, got n = {n}"
         )
-    for code in _connected_codes(n, rng):
-        g = graph_from_graph6(code)
-        if predicate(g):
-            yield g
+    for code in _connected_codes(n, rng, predicate):
+        yield graph_from_graph6(code)
 
 
 def count_classes(n: int, predicate: Callable[[Graph], bool]) -> int:

@@ -1,13 +1,19 @@
 """Immutable simple graphs on vertex set {0, .., n-1}.
 
 Adjacency is stored both as a frozenset of sorted edge pairs (hashable,
-order-free) and as int bitmask rows for fast neighborhood tests. Two text
-forms are supported: graph6 (the compact ASCII format, n <= 62 here) and a
-human-readable edge list ``"n; u-v, u-v, .."``.
+order-free) and as int bitmask rows for fast neighborhood tests. Every
+construction checks each edge once; a pair that is already normalized
+(two ints, u < v < n) costs one chained comparison, and any other pair
+goes through the full check. Two text forms are supported: graph6 (the
+compact ASCII format, n <= 62 here) and a human-readable edge list
+``"n; u-v, u-v, .."``. graph6 text has one packer, graph6_from_int: the
+upper-triangle bit string is one int, and base64 cuts it into the 6-bit
+groups, its alphabet mapped onto graph6's by one translation table.
 """
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -56,7 +62,8 @@ class Graph:
         rows = [0] * n
         pairs = []
         for u, v in self.edges:
-            u, v = _normalize_edge(u, v, n)
+            if not (type(u) is int and type(v) is int and 0 <= u < v < n):
+                u, v = _normalize_edge(u, v, n)
             if rows[u] >> v & 1:
                 raise EdgeExistsError(f"duplicate edge {(u, v)} in input")
             rows[u] |= 1 << v
@@ -170,30 +177,34 @@ def path_graph(n: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def graph6_from_bits(n: int, bits) -> str:
-    """graph6 text of order n from its 0/1 upper-triangle bits in graph6
-    order: for v = 1..n-1, the bits of pairs (0,v), .., (v-1,v)."""
+# base64 and graph6 both cut a big-endian bit string into 6-bit groups;
+# base64 spells group value i as _B64[i], graph6 as chr(63 + i)
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_B64_TO_GRAPH6 = bytes.maketrans(_B64, bytes(range(63, 127)))
+
+
+def graph6_from_int(n: int, bits: int) -> str:
+    """graph6 text of order n from its upper-triangle bit string read as an
+    int, first bit most significant. graph6 order: for v = 1..n-1, the bits
+    of pairs (0,v), .., (v-1,v)."""
     if n > 62:
         raise Graph6Error(f"graph6 support here stops at n = 62, got n = {n}")
-    out = bytearray([n + 63])
-    acc = 0
-    nacc = 0
-    for b in bits:
-        acc = acc << 1 | b
-        nacc += 1
-        if nacc == 6:
-            out.append(acc + 63)
-            acc = 0
-            nacc = 0
-    if nacc:
-        out.append((acc << (6 - nacc)) + 63)
-    return out.decode("ascii")
+    nbits = n * (n - 1) // 2
+    groups = (nbits + 5) // 6
+    # pad to whole 24-bit base64 quanta, so no '=' is emitted, then cut
+    quanta = (groups + 3) // 4
+    body = bits << (24 * quanta - nbits)
+    text = base64.b64encode(body.to_bytes(3 * quanta, "big"))[:groups]
+    return (bytes([n + 63]) + text.translate(_B64_TO_GRAPH6)).decode("ascii")
 
 
 def graph_to_graph6(g: Graph) -> str:
     """Encode in graph6: size byte, then the column-major upper triangle."""
-    rows = g._rows
-    return graph6_from_bits(g.n, [rows[u] >> v & 1 for v in range(1, g.n) for u in range(v)])
+    top = g.n * (g.n - 1) // 2 - 1
+    bits = 0
+    for u, v in g.edges:
+        bits |= 1 << top - (v * (v - 1) // 2 + u)
+    return graph6_from_int(g.n, bits)
 
 
 def graph_from_graph6(text: str) -> Graph:

@@ -196,7 +196,7 @@ def _cycle_pairs(seq: tuple[int, ...]) -> list[tuple[int, int]]:
     """Edges of the cycle through seq as (min, max) pairs, sorted like edge_list."""
     if len(set(seq)) != len(seq):
         raise RewireDefectError(f"cycle sequence repeats a vertex: {seq!r}")
-    return sorted((min(a, b), max(a, b)) for a, b in zip(seq, seq[1:] + seq[:1]))
+    return sorted((a, b) if a < b else (b, a) for a, b in zip(seq, seq[1:] + seq[:1]))
 
 
 def _thread(n, cycle, p1, lists, x) -> Graph:

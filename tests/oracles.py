@@ -12,7 +12,9 @@ form, because what it checks is which classes the filtered generator
 reaches. dense_inner_disjoint_paths is the Menger decomposition that the
 package's bitmask flow must reproduce: dense 2n x 2n capacity and flow
 matrices, every BFS step and every decomposition step scanning all 2n
-split nodes. Slow but trustworthy.
+split nodes. per_bit_graph6 is the graph6 encoder that the package's
+int packer must reproduce: one 0/1 list entry per vertex pair, six bits
+per character, the last one zero-padded. Slow but trustworthy.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from algconn.canon import canonical_form
 from algconn.connectivity import PathSystem
-from algconn.errors import GraphError
+from algconn.errors import Graph6Error, GraphError
 from algconn.graphs import Graph, graph_from_graph6
 
 
@@ -579,3 +581,24 @@ def plain_connected_codes(n: int) -> tuple[str, ...]:
                 out.add(canonical_form(Graph(k + 1, frozenset(pairs))))
         codes = tuple(sorted(out))
     return codes
+
+
+def per_bit_graph6(g: Graph) -> str:
+    """graph6 text of g, packed one upper-triangle bit at a time: for
+    v = 1..n-1, the bits of pairs (0,v), .., (v-1,v), six to a character."""
+    if g.n > 62:
+        raise Graph6Error(f"graph6 support here stops at n = 62, got n = {g.n}")
+    bits = [int(g.has_edge(u, v)) for v in range(1, g.n) for u in range(v)]
+    out = bytearray([g.n + 63])
+    acc = 0
+    nacc = 0
+    for b in bits:
+        acc = acc << 1 | b
+        nacc += 1
+        if nacc == 6:
+            out.append(acc + 63)
+            acc = 0
+            nacc = 0
+    if nacc:
+        out.append((acc << (6 - nacc)) + 63)
+    return out.decode("ascii")

@@ -19,6 +19,7 @@ from algconn.enumeration import (
     write_graph6_stream,
 )
 from algconn.errors import OrderLimitError
+from algconn.graphs import graph_from_graph6
 
 CONNECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 BICONNECTED_CLASS_COUNTS = {3: 1, 4: 3, 5: 10, 6: 56, 7: 468, 8: 7123}
@@ -111,6 +112,50 @@ def test_acceptance_test_prunes_canonical_calls(cold_level_cache, canonical_call
     # for levels <= 7; the acceptance test must cut most of them
     assert len(_connected_codes(7)) == CONNECTED_CLASS_COUNTS[7]
     assert len(canonical_calls) < 2500
+
+
+# isomorphism invariants, as enumerate_graphs requires of its predicate
+FILTERS = {
+    "connected": is_connected,
+    "biconnected": is_biconnected,
+    "theta": is_theta,
+    "min degree 3": lambda g: min(g.degrees()) >= 3,
+}
+
+
+@pytest.mark.parametrize("predicate", FILTERS.values(), ids=FILTERS)
+def test_filtered_top_level_matches_filtering_after(predicate):
+    for n in range(4, 8):
+        want = [c for c in _connected_codes(n) if predicate(graph_from_graph6(c))]
+        assert [g.to_graph6() for g in enumerate_graphs(n, predicate)] == want
+
+
+@pytest.mark.parametrize("predicate", FILTERS.values(), ids=FILTERS)
+def test_filtered_level_canonicalizes_only_passing_children(
+    cold_level_cache, canonical_calls, predicate
+):
+    n = 6
+    first = [g.to_graph6() for g in enumerate_graphs(n, predicate)]
+    assert n not in enumeration._level_cache
+    assert all(k in enumeration._level_cache for k in range(2, n))
+    top = [graph_from_graph6(c) for c in canonical_calls]
+    top = [g for g in top if g.n == n]
+    assert all(predicate(g) for g in top)
+    # the lower levels now come from the cache; the filtered one is rebuilt
+    canonical_calls.clear()
+    again = [g.to_graph6() for g in enumerate_graphs(n, predicate)]
+    assert again == first
+    assert sorted(canonical_calls) == sorted(g.to_graph6() for g in top)
+
+
+def test_filtered_top_level_call_count_n7(cold_level_cache, canonical_calls):
+    # of the 1,477 children of order 7 the acceptance test lets through,
+    # the 790 that are 2-connected get a canonical form
+    assert count_classes(7, is_biconnected) == BICONNECTED_CLASS_COUNTS[7]
+    assert sum(1 for c in canonical_calls if graph_from_graph6(c).n == 7) == 790
+    canonical_calls.clear()
+    assert len(_connected_codes(7)) == CONNECTED_CLASS_COUNTS[7]
+    assert len(canonical_calls) == 1477
 
 
 def test_frozen_regression_counts():

@@ -6,6 +6,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+import oracles
 from algconn.enumeration import enumerate_graphs
 from algconn.errors import (
     EdgeExistsError,
@@ -257,6 +258,84 @@ class TestGraph6:
     def test_roundtrip_all_enumerated_n6(self):
         for g in enumerate_graphs(6, lambda _: True):
             assert graph_from_graph6(graph_to_graph6(g)) == g
+
+
+# (n, pairs, the stored edges, or the error type and message); bools,
+# numpy integers and reversed pairs take the full check, not the fast path
+EDGE_CHECK_CASES = {
+    "bool label": (3, [(True, 2)], {(1, 2)}),
+    "bool pair": (3, [(False, True)], {(0, 1)}),
+    "bool loop": (3, [(True, 1)], (VertexSetError, "loop at vertex 1 is not allowed")),
+    "np.int64 labels": (3, [(np.int64(2), np.int64(0))], {(0, 2)}),
+    "np.int64 and int": (3, [(np.int64(0), 1), (1, np.int32(2))], {(0, 1), (1, 2)}),
+    "reversed pairs": (4, [(3, 1), (2, 0), (0, 1)], {(1, 3), (0, 2), (0, 1)}),
+    "loop": (3, [(1, 1)], (VertexSetError, "loop at vertex 1 is not allowed")),
+    "negative": (3, [(-1, 2)], (VertexSetError, "edge (-1, 2) outside vertex range 0..2")),
+    "negative reversed": (3, [(2, -1)], (VertexSetError, "edge (2, -1) outside vertex range 0..2")),
+    "label n": (3, [(0, 3)], (VertexSetError, "edge (0, 3) outside vertex range 0..2")),
+    "label above n reversed": (3, [(4, 0)], (VertexSetError, "edge (4, 0) outside vertex range 0..2")),
+    "no vertices": (0, [(0, 1)], (VertexSetError, "edge (0, 1) outside vertex range 0..-1")),
+    "float label": (3, [(0.0, 1)], (VertexSetError, "vertex labels must be integers, got 0.0, 1")),
+    "float second label": (3, [(0, 2.0)], (VertexSetError, "vertex labels must be integers, got 0, 2.0")),
+    "duplicate, second reversed": (3, [(0, 1), (1, 0)], (EdgeExistsError, "duplicate edge (0, 1) in input")),
+    "duplicate, first reversed": (3, [(2, 1), (1, 2)], (EdgeExistsError, "duplicate edge (1, 2) in input")),
+}
+
+
+@pytest.mark.parametrize("n, pairs, want", EDGE_CHECK_CASES.values(), ids=EDGE_CHECK_CASES)
+def test_edge_check_table(n, pairs, want):
+    if isinstance(want, tuple):
+        error, message = want
+        with pytest.raises(error) as info:
+            Graph(n, pairs)
+        assert type(info.value) is error and str(info.value) == message
+        return
+    g = Graph(n, pairs)
+    assert g.edges == frozenset(want)
+    assert all(type(u) is int and type(v) is int for u, v in g.edges)
+    rows = [0] * n
+    for u, v in want:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    assert g._rows == tuple(rows)
+
+
+class TestGraph6Packer:
+    """graph_to_graph6 packs one int and groups it through base64; the
+    per-bit encoder in oracles is the reference."""
+
+    def test_every_labelled_graph_up_to_5(self):
+        for n in range(6):
+            pairs = [(u, v) for v in range(1, n) for u in range(v)]
+            for mask in range(1 << len(pairs)):
+                g = Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+                assert graph_to_graph6(g) == oracles.per_bit_graph6(g)
+
+    def test_connected_classes_relabelled(self):
+        rng = random.Random(7)
+        for n in range(1, 8):
+            for g in enumerate_graphs(n, lambda _: True):
+                for _ in range(3):
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges])
+                    assert graph_to_graph6(h) == oracles.per_bit_graph6(h)
+
+    def test_random_graphs_every_order(self):
+        # orders 0..62 reach all 16 pairs of (6-bit groups mod 4, padding
+        # bits): every way the last base64 quantum and graph6 byte are cut
+        rng = random.Random(62)
+        for n in range(63):
+            for _ in range(3):
+                g = random_graph(rng, n, rng.random())
+                text = graph_to_graph6(g)
+                assert text == oracles.per_bit_graph6(g)
+                assert graph_from_graph6(text) == g
+
+    def test_order_63_rejected(self):
+        for g in (empty_graph(63), path_graph(63)):
+            with pytest.raises(Graph6Error, match="stops at n = 62"):
+                graph_to_graph6(g)
 
 
 class TestEdgeText:

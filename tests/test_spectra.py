@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import oracles
+from algconn.connectivity import is_biconnected
+from algconn.enumeration import enumerate_graphs
 from algconn.errors import ConvergenceError, DisconnectedGraphError, GraphError
 from algconn.graphs import complete_graph, graph_from_edges, path_graph
 from algconn.spectra import (
@@ -221,9 +223,48 @@ class TestFiedlerVector:
         with pytest.raises(DisconnectedGraphError):
             fiedler_vector(graph_from_edges(4, [(0, 1), (2, 3)]))
 
+    def test_direct_solve_matches_checked_solve(self):
+        # fiedler_vector skips eigen_symmetric's checks on the exact integer
+        # Laplacian; every float must still be the one the checked path gives
+        graphs = [g for n in range(3, 7) for g in enumerate_graphs(n, is_biconnected)]
+        rng = random.Random(41)
+        graphs += [random_connected(rng, rng.randrange(2, 41), rng.random()) for _ in range(100)]
+        for g in graphs:
+            f = fiedler_vector(g)
+            alpha, vec, multiplicity, residual = checked_fiedler(g)
+            assert f.alpha == alpha and f.multiplicity == multiplicity
+            assert f.vector.tobytes() == vec.tobytes()
+            assert f.residual == residual
+
+    def test_convergence_error_carries_laplacian(self, monkeypatch):
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        g = cycle(5)
+        with pytest.raises(ConvergenceError, match="did not converge") as info:
+            fiedler_vector(g)
+        assert info.value.matrix.dtype == np.float64
+        assert np.array_equal(info.value.matrix, g.laplacian())
+
     def test_multiplicity_tolerance_scale(self):
         assert multiplicity_tolerance(5) == 1e-8
         assert multiplicity_tolerance(400) == 4e-8
+
+
+def checked_fiedler(g):
+    """fiedler_vector's normalization and sign rule over eigen_symmetric."""
+    lap = g.laplacian().astype(np.float64)
+    dec = eigen_symmetric(lap)
+    alpha = float(dec.eigenvalues[1])
+    multiplicity = int(np.sum(np.abs(dec.eigenvalues - alpha) <= multiplicity_tolerance(g.n)))
+    vec = dec.eigenvectors[:, 1].copy()
+    vec /= math.sqrt(float(vec @ vec))
+    lead = int(np.argmax(np.abs(vec)))
+    if vec[lead] < 0.0:
+        vec = -vec
+    residual = float(np.max(np.abs(lap @ vec - alpha * vec)))
+    return alpha, vec, multiplicity, residual
 
 
 class TestRayleighQuotient:
