@@ -11,7 +11,7 @@ import json
 import random
 import sys
 
-from .connectivity import is_biconnected, is_connected, is_theta, theta_length_triple
+from .connectivity import is_biconnected, is_connected, is_theta
 from .enumeration import enumerate_graphs, write_graph6_stream
 from .errors import AlgConnError
 from .families import parse_family_text, realize
@@ -19,7 +19,6 @@ from .graphs import parse_graph_text
 from .rewiring import certificate_to_json, certificate_to_text, rewire
 from .spectra import fiedler_vector
 from .verify import (
-    Margins,
     report_to_csv,
     report_to_dict,
     report_to_json,
@@ -74,9 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--checkpoint", help="JSONL row cache for resumable sweeps")
         else:
             p.add_argument("--n-max", type=int, required=True)
-        p.add_argument(
-            "--tol", type=float, default=Margins.equal_tol, help="alpha equality filter"
-        )
         p.add_argument("--json", dest="json_path", help="also write the JSON report here")
         p.add_argument("--csv", dest="csv_path", help="also write the CSV report here")
     return parser
@@ -125,17 +121,14 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    margins = Margins(equal_tol=args.tol)
     # t1 prints one report object; t2 prints a list, one report per order
     if args.verify_command == "t1":
         reports = [
-            verify_theorem_1(
-                args.n, margins, jobs=args.jobs, checkpoint=args.checkpoint
-            )
+            verify_theorem_1(args.n, jobs=args.jobs, checkpoint=args.checkpoint)
         ]
         body = report_to_json(reports[0])
     else:
-        reports = verify_theorem_2(args.n_max, margins)
+        reports = verify_theorem_2(args.n_max)
         body = json.dumps(
             [report_to_dict(r) for r in reports], indent=2, sort_keys=True
         )

@@ -246,7 +246,12 @@ HAMILTONIAN_ORDER_LIMIT = 12
 
 
 def hamiltonian_cycle(g: Graph) -> tuple[int, ...] | None:
-    """A spanning cycle as a vertex tuple starting at 0, or None."""
+    """A spanning cycle as a vertex tuple starting at 0, or None.
+
+    Backtracking over paths from 0, trying the neighbors of each vertex
+    by (degree, label); the first cycle found under that order is
+    returned, so output is deterministic.
+    """
     n = g.n
     if n > HAMILTONIAN_ORDER_LIMIT:
         raise OrderLimitError(
@@ -254,22 +259,11 @@ def hamiltonian_cycle(g: Graph) -> tuple[int, ...] | None:
             f"{HAMILTONIAN_ORDER_LIMIT}, got n = {n}"
         )
     deg = g.degrees()
-    cyc = hamiltonian_search([sorted(g.neighbors(v), key=lambda u: (deg[u], u)) for v in range(n)])
-    return tuple(cyc) if cyc else None
-
-
-def hamiltonian_search(nbrs: list[list[int]]) -> list[int]:
-    """First spanning cycle through vertex 0, or an empty list.
-
-    Backtracking over paths from 0. nbrs[v] lists the neighbors of v in
-    fixed branching order; the first cycle found under that order is
-    returned, so output is deterministic.
-    """
-    n = len(nbrs)
-    if n < 3 or any(len(ns) < 2 for ns in nbrs):
-        return []
+    if n < 3 or min(deg) < 2:
+        return None
+    nbrs = [sorted(g.neighbors(v), key=lambda u: (deg[u], u)) for v in range(n)]
     path = [0]
-    return path if _extend_path(nbrs, path, 1, (1 << n) - 1) else []
+    return tuple(path) if _extend_path(nbrs, path, 1, (1 << n) - 1) else None
 
 
 def _extend_path(nbrs, path, visited, full) -> bool:

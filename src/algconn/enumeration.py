@@ -26,8 +26,9 @@ the top level only, and before the costly step: each accepted child of
 order n is tested, and only those that pass get a canonical form. That
 is sound because the predicate must be an isomorphism invariant, so the
 accepted children of one class pass or fail together. The levels below
-stay unfiltered and cached; a filtered level is built on every call and
-never enters the cache.
+stay unfiltered and cached; a filtered level never enters the cache. It
+is built only when level n is not cached already: a cached level is
+filtered by decoding its codes, which costs far less than building it.
 """
 
 from __future__ import annotations
@@ -65,13 +66,17 @@ def _connected_codes(
 ) -> tuple[str, ...]:
     """Canonical codes of the connected isomorphism classes of order n.
 
-    With a predicate, only the classes that pass it: each accepted child
-    of order n is tested before its canonical form is computed, and the
-    result is not cached.
+    With a predicate, only the classes that pass it: the cached level n
+    is filtered when there is one, and otherwise each accepted child of
+    order n is tested before its canonical form is computed. Either way
+    the result is not cached.
     """
+    if rng is None and n in _level_cache:
+        codes = _level_cache[n]
+        if predicate is None:
+            return codes
+        return tuple(c for c in codes if predicate(graph_from_graph6(c)))
     cacheable = rng is None and predicate is None
-    if cacheable and n in _level_cache:
-        return _level_cache[n]
     if n == 1:
         g = Graph(1, frozenset())
         return (canonical_form(g),) if predicate is None or predicate(g) else ()
@@ -148,12 +153,12 @@ def enumerate_graphs(
     predicate, in canonical-code order.
 
     The predicate is applied within the connected classes; disconnected
-    graphs are never produced. It must be an isomorphism invariant: it is
-    tested on each accepted child of order n before that child's canonical
-    form is computed, so any one labelling of a class decides it. A level
-    filtered this way is rebuilt on every call and never cached. Passing
-    an rng permutes internal branching order (a robustness knob for
-    tests); the emitted set is unchanged.
+    graphs are never produced. It must be an isomorphism invariant, since
+    any one labelling of a class decides it: a cached level n is filtered
+    by its canonical representatives, and otherwise each accepted child of
+    order n is tested before its canonical form is computed. A filtered
+    level is never cached. Passing an rng permutes internal branching
+    order (a robustness knob for tests); the emitted set is unchanged.
     """
     n = as_index(n, OrderLimitError, "enumeration order")
     if not 1 <= n <= ENUMERATION_LIMIT:

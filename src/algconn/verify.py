@@ -13,18 +13,17 @@ family member the graph is, or that it is none, from canonical-form
 identity (biconnected sweep) or from its triple (theta sweep): floating
 point alone never decides equality. Its policy:
 
-- a gap alpha - alpha(C_n) below -bound_slack raises VerificationError;
-- so does a family member whose gap lies outside equal_tol;
-- a gap within equal_tol without a family member is flagged;
-- a family member whose gap lies outside strict_margin is flagged (the
+- a gap alpha - alpha(C_n) below -BOUND_SLACK raises VerificationError;
+- so does a family member whose gap lies outside EQUAL_TOL;
+- a gap within EQUAL_TOL without a family member is flagged;
+- a family member whose gap lies outside STRICT_MARGIN is flagged (the
   ambiguity band);
-- a non-Hamiltonian graph whose gap is at most strict_margin is flagged:
+- a non-Hamiltonian graph whose gap is at most STRICT_MARGIN is flagged:
   the rewired graph G' is a spanning cycle, so the rewiring drop
   alpha(G) - alpha(G') equals the gap.
 
 Flagged rows land in the report's flagged list, and a passing run has an
-empty one. The theta sweep once raised on a numeric tie without a family
-member; it now flags it, and the CLI exits 1 either way.
+empty one.
 """
 
 from __future__ import annotations
@@ -34,10 +33,9 @@ import contextlib
 import csv
 import io
 import json
-import math
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .canon import ORDER_LIMIT, canonical_form
@@ -59,25 +57,12 @@ from .spectra import alpha_cycle_closed_form, fiedler_vector
 NOT_EXTREMAL = "not_extremal"
 
 
-@dataclass(frozen=True)
-class Margins:
-    """Numeric policy for the sweeps.
-
-    equal_tol is the alpha filter for equality candidates, strict_margin
-    the clearance demanded of strict statements, bound_slack the grace on
-    the main lower bound. Gaps between strict_margin and equal_tol are the
-    ambiguity band; rows there are flagged and fail the run.
-    """
-
-    equal_tol: float = 1e-8
-    strict_margin: float = 1e-10
-    bound_slack: float = 1e-10
-
-    def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if not 0 <= value < math.inf:
-                raise VerificationError(f"margin {field.name} = {value!r} is not finite and >= 0")
+# the verdict's float policy (module docstring): EQUAL_TOL is the alpha
+# filter for equality candidates, STRICT_MARGIN the clearance demanded of
+# strict statements, BOUND_SLACK the grace on the lower bound
+EQUAL_TOL = 1e-8
+STRICT_MARGIN = 1e-10
+BOUND_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -116,7 +101,7 @@ def _family_code_map(n: int) -> dict[str, FamilySpec]:
 
 
 def _verdict(
-    code: str, n: int, alpha: float, spec: FamilySpec | None, hamiltonian: bool, margins: Margins
+    code: str, n: int, alpha: float, spec: FamilySpec | None, hamiltonian: bool
 ) -> EqualityClass:
     """Bound check and equality verdict of one order-n graph (module docstring).
 
@@ -125,22 +110,22 @@ def _verdict(
     """
     alpha_ref = alpha_cycle_closed_form(n)
     gap = alpha - alpha_ref
-    if not gap >= -margins.bound_slack:
+    if not gap >= -BOUND_SLACK:
         raise VerificationError(
             f"lower bound violated at {code}: gap {gap!r} below -bound_slack = "
-            f"{-margins.bound_slack!r}, alpha = {alpha!r} < alpha(C_{n}) = {alpha_ref!r}"
+            f"{-BOUND_SLACK!r}, alpha = {alpha!r} < alpha(C_{n}) = {alpha_ref!r}"
         )
     reason = None
     if spec is None:
-        if abs(gap) <= margins.equal_tol:
+        if abs(gap) <= EQUAL_TOL:
             reason = "alpha matches the cycle but no equality family member does"
-    elif abs(gap) > margins.equal_tol:
+    elif abs(gap) > EQUAL_TOL:
         raise VerificationError(
             f"equality mismatch at {code}: gap {gap!r} outside equal_tol for {spec.to_text()}"
         )
-    elif abs(gap) > margins.strict_margin:
+    elif abs(gap) > STRICT_MARGIN:
         reason = "family match with alpha gap inside the ambiguity band"
-    if not hamiltonian and gap <= margins.strict_margin:
+    if not hamiltonian and gap <= STRICT_MARGIN:
         reason = "non-Hamiltonian graph whose rewiring drop is inside the margin"
     label = NOT_EXTREMAL if spec is None else str(spec.kind)
     return EqualityClass(label, spec, gap, flagged=reason is not None, flag_reason=reason)
@@ -161,7 +146,6 @@ def _row(
     code: str,
     spec: FamilySpec | None,
     hamiltonian: bool,
-    margins: Margins,
     triple: tuple[int, int, int] | None = None,
 ) -> SweepRow:
     """Fiedler vector, verdict and rewiring certificate of one sweep graph.
@@ -173,13 +157,13 @@ def _row(
     name = code if triple is None else f"theta{triple} ({code})"
     with _stage("fiedler_vector", name):
         f = fiedler_vector(g)
-    eq = _verdict(name, g.n, f.alpha, spec, hamiltonian, margins)
+    eq = _verdict(name, g.n, f.alpha, spec, hamiltonian)
     with _stage("rewire", name):
         rewire(g, f)
     return SweepRow(CanonicalCode(g.n, code), f.alpha, eq, hamiltonian, triple)
 
 
-def classify_equality(g: Graph, margins: Margins = Margins()) -> EqualityClass:
+def classify_equality(g: Graph) -> EqualityClass:
     """Equality verdict for one biconnected graph: family label or not_extremal.
 
     This is the verdict a biconnected sweep gives g's class, computed on
@@ -190,27 +174,25 @@ def classify_equality(g: Graph, margins: Margins = Margins()) -> EqualityClass:
         raise VerificationError(f"equality classification covers 4 <= n, got n = {g.n}")
     if not is_biconnected(g):
         raise VerificationError("equality classification expects a biconnected graph")
-    return _biconnected_row(canonical_form(g), g.n, margins).equality
+    return _biconnected_row(canonical_form(g), g.n).equality
 
 
-def _biconnected_row(code_g6: str, n: int, margins: Margins) -> SweepRow:
+def _biconnected_row(code_g6: str, n: int) -> SweepRow:
     g = graph_from_graph6(code_g6)
     spec = _family_code_map(n).get(code_g6)
-    return _row(g, code_g6, spec, hamiltonian_cycle(g) is not None, margins)
+    return _row(g, code_g6, spec, hamiltonian_cycle(g) is not None)
 
 
-def _load_checkpoint(path: str, n: int, codes: set[str], margins: Margins) -> dict[str, SweepRow]:
-    """Rows of an earlier run of the order-n sweep, rebuilt under margins.
+def _load_checkpoint(path: str, n: int, codes: set[str]) -> dict[str, SweepRow]:
+    """Rows of an earlier run of the order-n sweep, rebuilt and checked.
 
     A resumed row is built as a computed one is, from its stored code and
-    alpha: the verdict under the current margins and a fresh Hamiltonian
-    search. Its line must then equal that row's _row_to_dict in every field
-    but flagged and flag_reason, which follow the current margins, and its
-    code must be one of codes, the sweep's classes. Rows end in a newline,
-    so text after the last one is a row cut short by an interrupt: it is
-    dropped, and the file is truncated to the last complete line so new
-    rows append cleanly. Any other line that does not hold a valid row
-    raises VerificationError.
+    alpha: the verdict and a fresh Hamiltonian search. Its line must then
+    equal that row's _row_to_dict in every field, and its code must be one
+    of codes, the sweep's classes. Rows end in a newline, so text after the
+    last one is a row cut short by an interrupt: it is dropped, and the
+    file is truncated to the last complete line so new rows append cleanly.
+    Any other line that does not hold a valid row raises VerificationError.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -229,10 +211,10 @@ def _load_checkpoint(path: str, n: int, codes: set[str], margins: Margins) -> di
             if code not in codes:
                 raise VerificationError(f"code {code!r} is not a class of the order-{n} sweep")
             ham = hamiltonian_cycle(graph_from_graph6(code)) is not None
-            eq = _verdict(code, n, alpha, _family_code_map(n).get(code), ham, margins)
+            eq = _verdict(code, n, alpha, _family_code_map(n).get(code), ham)
             row = SweepRow(CanonicalCode(n, code), alpha, eq, ham)
             for field, derived in _row_to_dict(row).items():
-                if field not in ("flagged", "flag_reason") and stored[field] != derived:
+                if stored[field] != derived:
                     raise VerificationError(f"{field} {stored[field]!r} does not match {derived!r}")
         except (ValueError, KeyError, TypeError, VerificationError) as exc:
             raise VerificationError(f"checkpoint {path}, line {lineno}: {exc}") from exc
@@ -242,7 +224,6 @@ def _load_checkpoint(path: str, n: int, codes: set[str], margins: Margins) -> di
 
 def verify_theorem_1(
     n: int,
-    margins: Margins = Margins(),
     jobs: int = 1,
     checkpoint: str | None = None,
 ) -> VerificationReport:
@@ -267,9 +248,9 @@ def verify_theorem_1(
     codes = [g.to_graph6() for g in enumerate_graphs(n, is_biconnected)]
     done: dict[str, SweepRow] = {}
     if checkpoint and os.path.exists(checkpoint):
-        done = _load_checkpoint(checkpoint, n, set(codes), margins)
+        done = _load_checkpoint(checkpoint, n, set(codes))
     todo = [c for c in codes if c not in done]
-    args = (todo, [n] * len(todo), [margins] * len(todo))
+    args = (todo, [n] * len(todo))
     with contextlib.ExitStack() as stack:
         # line-buffered: each finished row reaches the file before the next
         # starts, so an interrupted sweep loses none of them
@@ -294,7 +275,7 @@ def verify_theorem_1(
     return _finish_report("t1", n, rows, start)
 
 
-def _theta_row(triple: tuple[int, int, int], margins: Margins) -> SweepRow:
+def _theta_row(triple: tuple[int, int, int]) -> SweepRow:
     g = realize(FamilySpec(FamilyKind.THETA, sum(triple) - 1, triple))
     # triples are complete isomorphism invariants for theta graphs, so for
     # orders past the canonical-form cap the constructed labeling's code
@@ -303,10 +284,10 @@ def _theta_row(triple: tuple[int, int, int], margins: Margins) -> SweepRow:
     spec = single_chord_spec_for_triple(triple)
     # a theta graph has a spanning cycle exactly when its third path is
     # a bare edge: any cycle in it is the union of two of the paths
-    return _row(g, code, spec, triple[0] == 1, margins, triple)
+    return _row(g, code, spec, triple[0] == 1, triple)
 
 
-def verify_theorem_2(n_max: int, margins: Margins = Margins()) -> list[VerificationReport]:
+def verify_theorem_2(n_max: int) -> list[VerificationReport]:
     """Sweep all theta graphs for each order 4..n_max, one report per order."""
     n_max = as_index(n_max, VerificationError, "theta sweep order")
     if not 4 <= n_max <= 40:
@@ -314,7 +295,7 @@ def verify_theorem_2(n_max: int, margins: Margins = Margins()) -> list[Verificat
     reports = []
     for n in range(4, n_max + 1):
         start = time.monotonic()
-        rows = tuple(_theta_row(t, margins) for t in theta_triples(n))
+        rows = tuple(_theta_row(t) for t in theta_triples(n))
         rows = tuple(sorted(rows, key=lambda r: r.code))
         reports.append(_finish_report("t2", n, rows, start))
     return reports

@@ -7,6 +7,7 @@ import subprocess
 
 import pytest
 
+from algconn import verify
 from algconn.canon import is_isomorphic
 from algconn.cli import cli_dispatch, main
 from algconn.families import cycle_graph, realize, parse_family_text
@@ -155,10 +156,12 @@ class TestVerify:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "line 1" in err
 
-    def test_nan_tol_exits_1(self, capsys):
-        code, out, err = run(capsys, "verify", "t1", "--n", "5", "--tol", "nan")
-        assert code == 1 and out == ""
-        assert err == "error: margin equal_tol = nan is not finite and >= 0\n"
+    def test_tol_is_usage_error(self, capsys):
+        # the float policy is fixed in the verify module; no option moves it
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "t1", "--n", "5", "--tol", "1e-8"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 1e-8" in capsys.readouterr().err
 
     def test_t1_report_files(self, capsys, tmp_path):
         jpath, cpath = tmp_path / "r.json", tmp_path / "r.csv"
@@ -180,9 +183,10 @@ class TestVerify:
             assert [r["n"] for r in payload] == orders
             assert all(r["schema"] == 1 for r in payload)
 
-    def test_wide_tolerance_flags_and_exits_1(self, capsys):
+    def test_wide_tolerance_flags_and_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "EQUAL_TOL", 10.0)
         for sweep in (("t1", "--n", "4"), ("t2", "--n-max", "6")):
-            code, out, err = run(capsys, "verify", *sweep, "--tol", "10.0")
+            code, out, err = run(capsys, "verify", *sweep)
             assert code == 1
             assert "FLAGGED" in err
 

@@ -124,10 +124,24 @@ FILTERS = {
 
 
 @pytest.mark.parametrize("predicate", FILTERS.values(), ids=FILTERS)
-def test_filtered_top_level_matches_filtering_after(predicate):
+def test_filtered_top_level_matches_filtering_after(cold_level_cache, predicate):
     for n in range(4, 8):
+        # level n is built filtered before its unfiltered build caches it
+        assert n not in enumeration._level_cache
+        got = [g.to_graph6() for g in enumerate_graphs(n, predicate)]
         want = [c for c in _connected_codes(n) if predicate(graph_from_graph6(c))]
-        assert [g.to_graph6() for g in enumerate_graphs(n, predicate)] == want
+        assert got == want
+
+
+@pytest.mark.parametrize("predicate", FILTERS.values(), ids=FILTERS)
+def test_filtered_call_served_from_cached_level(cold_level_cache, canonical_calls, predicate):
+    n = 6
+    built = [g.to_graph6() for g in enumerate_graphs(n, predicate)]
+    _connected_codes(n)
+    canonical_calls.clear()
+    served = [g.to_graph6() for g in enumerate_graphs(n, predicate)]
+    assert served == built
+    assert canonical_calls == []
 
 
 @pytest.mark.parametrize("predicate", FILTERS.values(), ids=FILTERS)

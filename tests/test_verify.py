@@ -1,6 +1,8 @@
 """Sweep harness behavior: classification verdicts, reports, serialization."""
 
 import csv
+import gzip
+import hashlib
 import io
 import json
 import math
@@ -24,11 +26,11 @@ from algconn.families import (
     theta_triples,
 )
 from algconn.graphs import graph_from_edges, graph_from_graph6
+import algconn
 from algconn import verify
 from algconn.spectra import alpha_cycle_closed_form
 from algconn.verify import (
     CSV_COLUMNS,
-    Margins,
     NOT_EXTREMAL,
     classify_equality,
     report_to_csv,
@@ -87,19 +89,21 @@ def test_classify_rejects_orders_below_four():
         classify_equality(triangle)
 
 
-def test_classify_flag_no_family_member():
+def test_classify_flag_no_family_member(monkeypatch):
     # widen the equality filter until K4 looks like a tie: the canonical-form
     # cross-check must refuse it and flag instead of reporting equality
-    eq = classify_equality(complete_graph(4), Margins(equal_tol=10.0))
+    monkeypatch.setattr(verify, "EQUAL_TOL", 10.0)
+    eq = classify_equality(complete_graph(4))
     assert eq.label == NOT_EXTREMAL
     assert eq.flagged
     assert "no equality family member" in eq.flag_reason
 
 
-def test_classify_flag_ambiguity_band():
+def test_classify_flag_ambiguity_band(monkeypatch):
     # exact equality member whose float gap cannot clear a zero margin
+    monkeypatch.setattr(verify, "STRICT_MARGIN", 0.0)
     diamond = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-    eq = classify_equality(diamond, Margins(strict_margin=0.0))
+    eq = classify_equality(diamond)
     assert eq.flagged
     assert "ambiguity band" in eq.flag_reason
 
@@ -223,6 +227,8 @@ def test_checkpoint_row_below_bound_rejected(tmp_path):
         ("triple", [1, 2, 3]),
         ("label", "h1"),
         ("matched_spec", "cycle:5"),
+        ("flagged", True),
+        ("flag_reason", "edited"),
     ],
 )
 def test_checkpoint_derived_field_edit_rejected(tmp_path, field, value):
@@ -237,11 +243,18 @@ def test_checkpoint_derived_field_edit_rejected(tmp_path, field, value):
         verify_theorem_1(5, checkpoint=str(cp))
 
 
-def test_checkpoint_resumed_rows_follow_current_margins(tmp_path):
-    cp = tmp_path / "sweep5.jsonl"
-    verify_theorem_1(5, checkpoint=str(cp))
-    strict = Margins(strict_margin=1.0)
-    assert verify_theorem_1(5, strict, checkpoint=str(cp)).rows == verify_theorem_1(5, strict).rows
+def test_checkpoint_from_earlier_release_resumes_identically(tmp_path):
+    # checkpoint_t1_n7.jsonl.gz was written by `verify t1 --n 7` before the
+    # float policy became module constants; every line must be accepted as
+    # it stands, and the report must hash as that release's did
+    cp = tmp_path / "sweep7.jsonl"
+    cp.write_bytes(gzip.decompress((DATA / "checkpoint_t1_n7.jsonl.gz").read_bytes()))
+    stored = cp.read_bytes()
+    report = verify_theorem_1(7, checkpoint=str(cp))
+    assert cp.read_bytes() == stored
+    text = report_to_json(replace(report, runtime=0.0))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "3fca00f2495532e39a71e486b727f8ec811b04b26dc11d0d8afe7c44d4754714"
 
 
 def test_checkpoint_torn_last_line_dropped(tmp_path):
@@ -277,13 +290,13 @@ def test_checkpoint_rows_on_disk_before_interrupt(tmp_path, monkeypatch):
     done = 0
     text = None
 
-    def dies_after_k(code, n, margins):
+    def dies_after_k(code, n):
         nonlocal done, text
         if done == k:
             text = cp.read_text()
             raise KeyboardInterrupt
         done += 1
-        return row(code, n, margins)
+        return row(code, n)
 
     monkeypatch.setattr(verify, "_biconnected_row", dies_after_k)
     with pytest.raises(KeyboardInterrupt):
@@ -319,11 +332,10 @@ def test_checkpoint_row_outside_sweep_rejected(tmp_path, code):
         verify_theorem_1(5, checkpoint=str(cp))
 
 
-@pytest.mark.parametrize("field", ["equal_tol", "strict_margin", "bound_slack"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -1e-12])
-def test_margins_reject_non_finite_or_negative(field, value):
-    with pytest.raises(VerificationError, match=f"margin {field} = "):
-        Margins(**{field: value})
+def test_float_policy_is_module_constants():
+    assert (verify.EQUAL_TOL, verify.STRICT_MARGIN, verify.BOUND_SLACK) == (1e-8, 1e-10, 1e-10)
+    assert not hasattr(verify, "Margins")
+    assert not hasattr(algconn, "Margins") and "Margins" not in algconn.__all__
 
 
 @pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1, 5000, 1.5])
@@ -336,31 +348,34 @@ def test_sweep_jobs_validated_before_pool(monkeypatch, jobs):
         verify_theorem_1(4, jobs=jobs)
 
 
-def test_sweep_flags_survive_to_report():
-    report = verify_theorem_1(4, Margins(equal_tol=10.0))
+def test_sweep_flags_survive_to_report(monkeypatch):
+    monkeypatch.setattr(verify, "EQUAL_TOL", 10.0)
+    report = verify_theorem_1(4)
     assert report.flagged == ("C~",)  # K4 matches nothing despite the wide filter
     (k4_row,) = [r for r in report.rows if r.code.code == "C~"]
     assert k4_row.equality.flagged and k4_row.equality.label == NOT_EXTREMAL
 
 
-def test_sweep_raises_when_equality_member_lands_in_band():
+def test_sweep_raises_when_equality_member_lands_in_band(monkeypatch):
+    monkeypatch.setattr(verify, "STRICT_MARGIN", 1e-30)
     with pytest.raises(VerificationError, match="equality set mismatch"):
-        verify_theorem_1(4, Margins(strict_margin=1e-30))
+        verify_theorem_1(4)
 
 
 @pytest.mark.parametrize(
     "sweep, match",
     [
-        (lambda m: verify_theorem_1(5, m), r"equality mismatch at D\S+: gap .* h1:n=5:i=1"),
-        (lambda m: verify_theorem_2(6, m), r"equality mismatch at theta\(1, 2, 2\) \(C\S\): gap"),
+        (lambda: verify_theorem_1(5), r"equality mismatch at D\S+: gap .* h1:n=5:i=1"),
+        (lambda: verify_theorem_2(6), r"equality mismatch at theta\(1, 2, 2\) \(C\S\): gap"),
     ],
     ids=["t1", "t2"],
 )
-def test_sweep_raises_when_family_member_misses_filter(sweep, match):
-    # equal_tol = 1e-30 admits only exact zero gaps; the first family member
+def test_sweep_raises_when_family_member_misses_filter(monkeypatch, sweep, match):
+    # EQUAL_TOL = 1e-30 admits only exact zero gaps; the first family member
     # whose gap is a few ulps off zero must raise
+    monkeypatch.setattr(verify, "EQUAL_TOL", 1e-30)
     with pytest.raises(VerificationError, match=match):
-        sweep(Margins(equal_tol=1e-30))
+        sweep()
 
 
 @pytest.mark.parametrize(
@@ -394,9 +409,10 @@ def test_lower_bound_error_names_bound_slack(monkeypatch, theorem):
         return replace(f, alpha=alpha_cycle_closed_form(g.n) - 1e-6)
 
     monkeypatch.setattr(verify, "fiedler_vector", low)
+    monkeypatch.setattr(verify, "BOUND_SLACK", 1e-9)
     sweep = verify_theorem_1 if theorem == "t1" else verify_theorem_2
     with pytest.raises(VerificationError) as info:
-        sweep(4, Margins(bound_slack=1e-9))
+        sweep(4)
     message = str(info.value)
     assert "lower bound violated at " in message
     assert "below -bound_slack = -1e-09" in message
@@ -404,9 +420,10 @@ def test_lower_bound_error_names_bound_slack(monkeypatch, theorem):
     assert gap == pytest.approx(-1e-6, rel=1e-6)
 
 
-def test_sweep_flags_weak_rewiring_drop():
+def test_sweep_flags_weak_rewiring_drop(monkeypatch):
     # demand an absurd drop: both non-Hamiltonian classes at n = 5 get flagged
-    report = verify_theorem_1(5, Margins(strict_margin=1.0))
+    monkeypatch.setattr(verify, "STRICT_MARGIN", 1.0)
+    report = verify_theorem_1(5)
     assert len(report.flagged) == 2
     for code in report.flagged:
         assert hamiltonian_cycle(graph_from_graph6(code)) is None
@@ -432,9 +449,10 @@ def test_theta_sweep_equality_triples():
             assert row.alpha >= report.alpha_cycle - 1e-10
 
 
-def test_theta_sweep_flags_ties_without_family_member():
+def test_theta_sweep_flags_ties_without_family_member(monkeypatch):
     # a wide filter makes every triple a numeric tie; only l1 = 1 has a member
-    for report in verify_theorem_2(6, Margins(equal_tol=10.0)):
+    monkeypatch.setattr(verify, "EQUAL_TOL", 10.0)
+    for report in verify_theorem_2(6):
         no_member = [r for r in report.rows if r.triple[0] >= 2]
         assert report.flagged == tuple(sorted(r.code.code for r in no_member))
         for row in no_member:
