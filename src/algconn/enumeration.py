@@ -28,13 +28,13 @@ is sound because the predicate must be an isomorphism invariant, so the
 accepted children of one class pass or fail together. The levels below
 stay unfiltered and cached; a filtered level never enters the cache. It
 is built only when level n is not cached already: a cached level is
-filtered by decoding its codes, which costs far less than building it.
+filtered by decoding each of its codes once, testing that graph and
+yielding it, which costs far less than building the level.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .canon import canonical_form
@@ -47,18 +47,6 @@ ENUMERATION_LIMIT = 9
 _level_cache: dict[int, tuple[str, ...]] = {}
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalCode:
-    """Order plus canonical graph6 string; equal codes mean isomorphic."""
-
-    n: int
-    code: str
-
-    @classmethod
-    def of(cls, g: Graph) -> "CanonicalCode":
-        return cls(n=g.n, code=canonical_form(g))
-
-
 def _connected_codes(
     n: int,
     rng: random.Random | None = None,
@@ -66,17 +54,13 @@ def _connected_codes(
 ) -> tuple[str, ...]:
     """Canonical codes of the connected isomorphism classes of order n.
 
-    With a predicate, only the classes that pass it: the cached level n
-    is filtered when there is one, and otherwise each accepted child of
-    order n is tested before its canonical form is computed. Either way
-    the result is not cached.
+    With a predicate, level n is built and each accepted child of order
+    n is tested before its canonical form is computed; that result is
+    not cached. enumerate_graphs filters a cached level itself.
     """
-    if rng is None and n in _level_cache:
-        codes = _level_cache[n]
-        if predicate is None:
-            return codes
-        return tuple(c for c in codes if predicate(graph_from_graph6(c)))
     cacheable = rng is None and predicate is None
+    if cacheable and n in _level_cache:
+        return _level_cache[n]
     if n == 1:
         g = Graph(1, frozenset())
         return (canonical_form(g),) if predicate is None or predicate(g) else ()
@@ -155,7 +139,7 @@ def enumerate_graphs(
     The predicate is applied within the connected classes; disconnected
     graphs are never produced. It must be an isomorphism invariant, since
     any one labelling of a class decides it: a cached level n is filtered
-    by its canonical representatives, and otherwise each accepted child of
+    by its canonical representatives, each decoded once, and otherwise each accepted child of
     order n is tested before its canonical form is computed. A filtered
     level is never cached. Passing an rng permutes internal branching
     order (a robustness knob for tests); the emitted set is unchanged.
@@ -165,8 +149,12 @@ def enumerate_graphs(
         raise OrderLimitError(
             f"enumeration is supported for 1 <= n <= {ENUMERATION_LIMIT}, got n = {n}"
         )
-    for code in _connected_codes(n, rng, predicate):
-        yield graph_from_graph6(code)
+    if rng is None and n in _level_cache:
+        # each cached code is decoded once: the graph tested is the one yielded
+        yield from filter(predicate, map(graph_from_graph6, _level_cache[n]))
+    else:
+        for code in _connected_codes(n, rng, predicate):
+            yield graph_from_graph6(code)
 
 
 def count_classes(n: int, predicate: Callable[[Graph], bool]) -> int:

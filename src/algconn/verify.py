@@ -7,8 +7,10 @@ The theta sweep does the same over theta graphs, keyed by path-length
 triples, where the equality set is exactly the triples containing a
 length-1 path.
 
-Both sweeps build their rows with one function, and every row, computed
-or resumed from a checkpoint, gets one verdict. The verdict knows the
+One function builds every row of both sweeps, computed or resumed from a
+checkpoint, and gives it the one verdict. A report holds its theorem,
+order, rows and runtime; its count, minimum alpha and flagged list derive
+from the rows, and alpha(C_n) from the order. The verdict knows the
 family member the graph is, or that it is none, from canonical-form
 identity (biconnected sweep) or from its triple (theta sweep): floating
 point alone never decides equality. Its policy:
@@ -40,7 +42,7 @@ from functools import lru_cache
 
 from .canon import ORDER_LIMIT, canonical_form
 from .connectivity import hamiltonian_cycle, is_biconnected
-from .enumeration import ENUMERATION_LIMIT, CanonicalCode, enumerate_graphs
+from .enumeration import ENUMERATION_LIMIT, enumerate_graphs
 from .errors import AlgConnError, VerificationError, as_index
 from .families import (
     FamilyKind,
@@ -67,16 +69,23 @@ BOUND_SLACK = 1e-10
 
 @dataclass(frozen=True)
 class EqualityClass:
-    label: str
     matched_spec: FamilySpec | None
     alpha_gap: float
-    flagged: bool = False
     flag_reason: str | None = None
+
+    @property
+    def label(self) -> str:
+        return NOT_EXTREMAL if self.matched_spec is None else str(self.matched_spec.kind)
+
+    @property
+    def flagged(self) -> bool:
+        return self.flag_reason is not None
 
 
 @dataclass(frozen=True)
 class SweepRow:
-    code: CanonicalCode
+    n: int
+    code: str
     alpha: float
     equality: EqualityClass
     hamiltonian: bool
@@ -87,12 +96,24 @@ class SweepRow:
 class VerificationReport:
     theorem: str
     n: int
-    count: int
-    alpha_cycle: float
-    min_alpha: float
     rows: tuple[SweepRow, ...]
-    flagged: tuple[str, ...]
     runtime: float
+
+    @property
+    def count(self) -> int:
+        return len(self.rows)
+
+    @property
+    def alpha_cycle(self) -> float:
+        return alpha_cycle_closed_form(self.n)
+
+    @property
+    def min_alpha(self) -> float:
+        return min(r.alpha for r in self.rows)
+
+    @property
+    def flagged(self) -> tuple[str, ...]:
+        return tuple(sorted(r.code for r in self.rows if r.equality.flagged))
 
 
 @lru_cache(maxsize=32)
@@ -127,8 +148,7 @@ def _verdict(
         reason = "family match with alpha gap inside the ambiguity band"
     if not hamiltonian and gap <= STRICT_MARGIN:
         reason = "non-Hamiltonian graph whose rewiring drop is inside the margin"
-    label = NOT_EXTREMAL if spec is None else str(spec.kind)
-    return EqualityClass(label, spec, gap, flagged=reason is not None, flag_reason=reason)
+    return EqualityClass(spec, gap, reason)
 
 
 @contextlib.contextmanager
@@ -147,20 +167,27 @@ def _row(
     spec: FamilySpec | None,
     hamiltonian: bool,
     triple: tuple[int, int, int] | None = None,
+    alpha: float | None = None,
 ) -> SweepRow:
     """Fiedler vector, verdict and rewiring certificate of one sweep graph.
 
     code is g's row key, spec the family member g is known to be (or
     None), and triple g's path lengths when it is a theta graph. The
-    certificate is built only for the checks rewire makes on it.
+    certificate is built only for the checks rewire makes on it. A row
+    resumed from a checkpoint passes its stored alpha: the Fiedler solve
+    and rewire ran when that row was written, so only the verdict runs.
     """
     name = code if triple is None else f"theta{triple} ({code})"
-    with _stage("fiedler_vector", name):
-        f = fiedler_vector(g)
-    eq = _verdict(name, g.n, f.alpha, spec, hamiltonian)
-    with _stage("rewire", name):
-        rewire(g, f)
-    return SweepRow(CanonicalCode(g.n, code), f.alpha, eq, hamiltonian, triple)
+    f = None
+    if alpha is None:
+        with _stage("fiedler_vector", name):
+            f = fiedler_vector(g)
+        alpha = f.alpha
+    eq = _verdict(name, g.n, alpha, spec, hamiltonian)
+    if f is not None:
+        with _stage("rewire", name):
+            rewire(g, f)
+    return SweepRow(g.n, code, alpha, eq, hamiltonian, triple)
 
 
 def classify_equality(g: Graph) -> EqualityClass:
@@ -174,20 +201,21 @@ def classify_equality(g: Graph) -> EqualityClass:
         raise VerificationError(f"equality classification covers 4 <= n, got n = {g.n}")
     if not is_biconnected(g):
         raise VerificationError("equality classification expects a biconnected graph")
-    return _biconnected_row(canonical_form(g), g.n).equality
+    return _biconnected_row(canonical_form(g)).equality
 
 
-def _biconnected_row(code_g6: str, n: int) -> SweepRow:
+def _biconnected_row(code_g6: str, alpha: float | None = None) -> SweepRow:
     g = graph_from_graph6(code_g6)
-    spec = _family_code_map(n).get(code_g6)
-    return _row(g, code_g6, spec, hamiltonian_cycle(g) is not None)
+    spec = _family_code_map(g.n).get(code_g6)
+    return _row(g, code_g6, spec, hamiltonian_cycle(g) is not None, alpha=alpha)
 
 
 def _load_checkpoint(path: str, n: int, codes: set[str]) -> dict[str, SweepRow]:
     """Rows of an earlier run of the order-n sweep, rebuilt and checked.
 
-    A resumed row is built as a computed one is, from its stored code and
-    alpha: the verdict and a fresh Hamiltonian search. Its line must then
+    A resumed row is built by _biconnected_row, as a computed one is, from
+    its stored code and alpha: a fresh Hamiltonian search and the verdict,
+    without the Fiedler solve and rewire. Its line must then
     equal that row's _row_to_dict in every field, and its code must be one
     of codes, the sweep's classes. Rows end in a newline, so text after the
     last one is a row cut short by an interrupt: it is dropped, and the
@@ -207,12 +235,10 @@ def _load_checkpoint(path: str, n: int, codes: set[str]) -> dict[str, SweepRow]:
             continue
         try:
             stored = json.loads(line)
-            code, alpha = stored["code"], stored["alpha"]
+            code = stored["code"]
             if code not in codes:
                 raise VerificationError(f"code {code!r} is not a class of the order-{n} sweep")
-            ham = hamiltonian_cycle(graph_from_graph6(code)) is not None
-            eq = _verdict(code, n, alpha, _family_code_map(n).get(code), ham)
-            row = SweepRow(CanonicalCode(n, code), alpha, eq, ham)
+            row = _biconnected_row(code, stored["alpha"])
             for field, derived in _row_to_dict(row).items():
                 if stored[field] != derived:
                     raise VerificationError(f"{field} {stored[field]!r} does not match {derived!r}")
@@ -250,29 +276,27 @@ def verify_theorem_1(
     if checkpoint and os.path.exists(checkpoint):
         done = _load_checkpoint(checkpoint, n, set(codes))
     todo = [c for c in codes if c not in done]
-    args = (todo, [n] * len(todo))
     with contextlib.ExitStack() as stack:
         # line-buffered: each finished row reaches the file before the next
         # starts, so an interrupted sweep loses none of them
         sink = checkpoint and stack.enter_context(open(checkpoint, "a", encoding="ascii", buffering=1))
         if jobs > 1 and todo:
             pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=jobs))
-            results = pool.map(_biconnected_row, *args, chunksize=max(1, len(todo) // (4 * jobs)))
+            results = pool.map(_biconnected_row, todo, chunksize=max(1, len(todo) // (4 * jobs)))
         else:
-            results = map(_biconnected_row, *args)
+            results = map(_biconnected_row, todo)
         for row in results:
-            done[row.code.code] = row
+            done[row.code] = row
             if sink:
                 sink.write(json.dumps(_row_to_dict(row)) + "\n")
     rows = tuple(done[c] for c in codes)
-    expected = set(_family_code_map(n))
-    attained = {r.code.code for r in rows if r.equality.label != NOT_EXTREMAL and not r.equality.flagged}
-    if attained != expected:
-        raise VerificationError(
-            f"equality set mismatch at n = {n}: unexpected "
-            f"{sorted(attained - expected)}, missing {sorted(expected - attained)}"
-        )
-    return _finish_report("t1", n, rows, start)
+    # a row is labelled only when its code is a family member, so the
+    # attained set can miss members but never hold others
+    attained = {r.code for r in rows if r.equality.label != NOT_EXTREMAL and not r.equality.flagged}
+    missing = sorted(set(_family_code_map(n)) - attained)
+    if missing:
+        raise VerificationError(f"equality set mismatch at n = {n}: missing {missing}")
+    return VerificationReport("t1", n, rows, time.monotonic() - start)
 
 
 def _theta_row(triple: tuple[int, int, int]) -> SweepRow:
@@ -297,21 +321,8 @@ def verify_theorem_2(n_max: int) -> list[VerificationReport]:
         start = time.monotonic()
         rows = tuple(_theta_row(t) for t in theta_triples(n))
         rows = tuple(sorted(rows, key=lambda r: r.code))
-        reports.append(_finish_report("t2", n, rows, start))
+        reports.append(VerificationReport("t2", n, rows, time.monotonic() - start))
     return reports
-
-
-def _finish_report(theorem: str, n: int, rows, start: float) -> VerificationReport:
-    return VerificationReport(
-        theorem=theorem,
-        n=n,
-        count=len(rows),
-        alpha_cycle=alpha_cycle_closed_form(n),
-        min_alpha=min(r.alpha for r in rows),
-        rows=rows,
-        flagged=tuple(sorted(r.code.code for r in rows if r.equality.flagged)),
-        runtime=time.monotonic() - start,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -320,24 +331,26 @@ def _finish_report(theorem: str, n: int, rows, start: float) -> VerificationRepo
 
 # rewire certifies that G' is a spanning cycle, so alpha(G') is alpha(C_n)
 # and the rewiring drop alpha(G) - alpha(G') is the row's gap: rows store
-# neither, and the writers derive both
-CSV_COLUMNS = (
-    "n",
-    "canonical_code",
-    "alpha",
-    "alpha_cycle",
-    "gap",
-    "class_label",
-    "matched_spec",
-    "hamiltonian",
-    "rewire_alpha_drop",
-)
+# neither, and the writers derive both. Each CSV column holds the
+# _row_to_dict field it maps to.
+_CSV_FIELDS = {
+    "n": "n",
+    "canonical_code": "code",
+    "alpha": "alpha",
+    "alpha_cycle": "alpha_gprime",
+    "gap": "gap",
+    "class_label": "label",
+    "matched_spec": "matched_spec",
+    "hamiltonian": "hamiltonian",
+    "rewire_alpha_drop": "rewire_drop",
+}
+CSV_COLUMNS = tuple(_CSV_FIELDS)
 
 
 def _row_to_dict(row: SweepRow) -> dict:
     return {
-        "code": row.code.code,
-        "n": row.code.n,
+        "code": row.code,
+        "n": row.n,
         "alpha": row.alpha,
         "gap": row.equality.alpha_gap,
         "label": row.equality.label,
@@ -346,7 +359,7 @@ def _row_to_dict(row: SweepRow) -> dict:
         "flag_reason": row.equality.flag_reason,
         "hamiltonian": row.hamiltonian,
         "rewire_drop": row.equality.alpha_gap,
-        "alpha_gprime": alpha_cycle_closed_form(row.code.n),
+        "alpha_gprime": alpha_cycle_closed_form(row.n),
         "triple": list(row.triple) if row.triple else None,
     }
 
@@ -370,24 +383,15 @@ def report_to_json(report: VerificationReport) -> str:
 
 
 def report_to_csv(reports) -> str:
-    """Fixed-column CSV over one or more reports; specs with commas quoted."""
+    """Fixed-column CSV over one or more reports: the _row_to_dict fields
+    named by _CSV_FIELDS, with None empty, floats by repr and specs with
+    commas quoted."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for report in reports:
         for row in report.rows:
-            spec = row.equality.matched_spec
-            writer.writerow(
-                (
-                    report.n,
-                    row.code.code,
-                    repr(row.alpha),
-                    repr(report.alpha_cycle),
-                    repr(row.equality.alpha_gap),
-                    row.equality.label,
-                    spec.to_text() if spec else "",
-                    "true" if row.hamiltonian else "false",
-                    repr(row.equality.alpha_gap),
-                )
-            )
+            d = _row_to_dict(row)
+            d["hamiltonian"] = str(d["hamiltonian"]).lower()
+            writer.writerow(d[key] for key in _CSV_FIELDS.values())
     return buf.getvalue()

@@ -90,7 +90,7 @@ def test_criterion_2_biconnected_sweep(t1_reports):
         for row in report.rows:
             assert row.alpha >= bound - 1e-10
         attained = {
-            r.code.code for r in report.rows if r.equality.label != NOT_EXTREMAL
+            r.code for r in report.rows if r.equality.label != NOT_EXTREMAL
         }
         expected = {canonical_form(g) for g in equality_family(n)}
         assert attained == expected, f"equality set mismatch at n = {n}"
@@ -131,7 +131,7 @@ def test_criterion_4_rewiring_strictness(t1_reports):
         for row in report.rows:
             if row.hamiltonian:
                 continue
-            g = graph_from_graph6(row.code.code)
+            g = graph_from_graph6(row.code)
             cert = rewire(g, fiedler_vector(g))
             checked += 1
             ok = (
@@ -140,7 +140,7 @@ def test_criterion_4_rewiring_strictness(t1_reports):
                 and cert.alpha_gprime < cert.alpha_g - 1e-10
             )
             if not ok:
-                failures.append(row.code.code)
+                failures.append(row.code)
     assert failures == [], f"{len(failures)} rewiring certificates failed"
     # 927 non-Hamiltonian classes at n = 8 alone
     assert checked > 900

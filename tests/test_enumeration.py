@@ -12,7 +12,6 @@ from algconn.canon import canonical_form
 from algconn.connectivity import is_biconnected, is_connected, is_theta
 from algconn import enumeration
 from algconn.enumeration import (
-    CanonicalCode,
     _connected_codes,
     count_classes,
     enumerate_graphs,
@@ -144,6 +143,21 @@ def test_filtered_call_served_from_cached_level(cold_level_cache, canonical_call
     assert canonical_calls == []
 
 
+def test_filtered_call_decodes_each_cached_code_once(cold_level_cache, monkeypatch):
+    # the graph a cached code decodes to is both tested and yielded
+    n = 6
+    _connected_codes(n)
+    decode, decoded = enumeration.graph_from_graph6, []
+
+    def counted(code):
+        decoded.append(code)
+        return decode(code)
+
+    monkeypatch.setattr(enumeration, "graph_from_graph6", counted)
+    assert count_classes(n, is_biconnected) == BICONNECTED_CLASS_COUNTS[n]
+    assert len(decoded) == CONNECTED_CLASS_COUNTS[n]
+
+
 @pytest.mark.parametrize("predicate", FILTERS.values(), ids=FILTERS)
 def test_filtered_level_canonicalizes_only_passing_children(
     cold_level_cache, canonical_calls, predicate
@@ -189,7 +203,7 @@ def test_frozen_regression_counts_n8():
 
 def test_no_duplicate_codes():
     for n in range(1, 8):
-        codes = [CanonicalCode.of(g) for g in enumerate_graphs(n, lambda _: True)]
+        codes = [canonical_form(g) for g in enumerate_graphs(n, lambda _: True)]
         assert len(set(codes)) == len(codes)
 
 

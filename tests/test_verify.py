@@ -7,7 +7,7 @@ import io
 import json
 import math
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -133,7 +133,7 @@ def test_sweep_lower_bound_holds(t1_small):
 
 def test_sweep_equality_sets_exact(t1_small):
     for n, report in t1_small.items():
-        attained = {r.code.code for r in report.rows if r.equality.label != NOT_EXTREMAL}
+        attained = {r.code for r in report.rows if r.equality.label != NOT_EXTREMAL}
         expected = {code for _, _, code in equality_family_specs(n)}
         assert attained == expected
 
@@ -141,7 +141,7 @@ def test_sweep_equality_sets_exact(t1_small):
 def test_sweep_rows_self_consistent(t1_small):
     for report in t1_small.values():
         for row in report.rows:
-            g = graph_from_graph6(row.code.code)
+            g = graph_from_graph6(row.code)
             assert is_biconnected(g)
             assert row.hamiltonian == (hamiltonian_cycle(g) is not None)
             if not row.hamiltonian:
@@ -268,7 +268,7 @@ def test_checkpoint_torn_last_line_dropped(tmp_path):
     text = cp.read_text()
     assert text.endswith("\n") and len(text.splitlines()) == 10
     assert {json.loads(line)["code"] for line in text.splitlines()} == {
-        r.code.code for r in full.rows
+        r.code for r in full.rows
     }
 
 
@@ -290,13 +290,13 @@ def test_checkpoint_rows_on_disk_before_interrupt(tmp_path, monkeypatch):
     done = 0
     text = None
 
-    def dies_after_k(code, n):
+    def dies_after_k(code, alpha=None):
         nonlocal done, text
         if done == k:
             text = cp.read_text()
             raise KeyboardInterrupt
         done += 1
-        return row(code, n)
+        return row(code, alpha)
 
     monkeypatch.setattr(verify, "_biconnected_row", dies_after_k)
     with pytest.raises(KeyboardInterrupt):
@@ -304,6 +304,28 @@ def test_checkpoint_rows_on_disk_before_interrupt(tmp_path, monkeypatch):
     assert text.endswith("\n") and len(text.splitlines()) == k
     for line in text.splitlines():
         assert json.loads(line)["n"] == 6
+
+
+def test_resumed_rows_built_by_row_from_stored_alpha(tmp_path, monkeypatch):
+    # each stored line goes through the row builder of computed rows, with
+    # its alpha in place of a Fiedler solve
+    cp = tmp_path / "sweep5.jsonl"
+    full = verify_theorem_1(5, checkpoint=str(cp))
+    stored = [json.loads(line) for line in cp.read_text().splitlines()]
+    row, calls = verify._row, []
+
+    def recorded(g, code, spec, hamiltonian, triple=None, alpha=None):
+        calls.append((code, alpha))
+        return row(g, code, spec, hamiltonian, triple, alpha)
+
+    def no_solve(g):
+        raise AssertionError("Fiedler solve for a resumed row")
+
+    monkeypatch.setattr(verify, "_row", recorded)
+    monkeypatch.setattr(verify, "fiedler_vector", no_solve)
+    resumed = verify_theorem_1(5, checkpoint=str(cp))
+    assert calls == [(d["code"], d["alpha"]) for d in stored]
+    assert resumed.rows == full.rows
 
 
 def test_checkpoint_nan_alpha_violates_bound(tmp_path):
@@ -338,6 +360,25 @@ def test_float_policy_is_module_constants():
     assert not hasattr(algconn, "Margins") and "Margins" not in algconn.__all__
 
 
+def test_records_store_only_what_was_measured(t1_small):
+    # the summaries derive from the rows, the label and flag from the verdict
+    assert [f.name for f in fields(verify.VerificationReport)] == ["theorem", "n", "rows", "runtime"]
+    assert [f.name for f in fields(verify.EqualityClass)] == ["matched_spec", "alpha_gap", "flag_reason"]
+    report = t1_small[5]
+    assert report.count == len(report.rows) == 10
+    assert report.alpha_cycle == alpha_cycle_closed_form(5)
+    assert report.min_alpha == min(r.alpha for r in report.rows)
+    assert report.flagged == ()
+    labels = {r.code: r.equality.label for r in report.rows}
+    assert labels[canonical_form(cycle_graph(5))] == "cycle"
+    assert list(labels.values()).count(NOT_EXTREMAL) == 10 - len(equality_family_specs(5))
+    assert all(isinstance(code, str) for code in labels)
+    # row codes are plain graph6 text: enumeration exports no code type
+    modules = {name: getattr(getattr(algconn, name), "__module__", None) for name in algconn.__all__}
+    enumeration_names = sorted(name for name, mod in modules.items() if mod == "algconn.enumeration")
+    assert enumeration_names == ["count_classes", "enumerate_graphs"]
+
+
 @pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1, 5000, 1.5])
 def test_sweep_jobs_validated_before_pool(monkeypatch, jobs):
     def no_pool(*args, **kwargs):
@@ -352,7 +393,7 @@ def test_sweep_flags_survive_to_report(monkeypatch):
     monkeypatch.setattr(verify, "EQUAL_TOL", 10.0)
     report = verify_theorem_1(4)
     assert report.flagged == ("C~",)  # K4 matches nothing despite the wide filter
-    (k4_row,) = [r for r in report.rows if r.code.code == "C~"]
+    (k4_row,) = [r for r in report.rows if r.code == "C~"]
     assert k4_row.equality.flagged and k4_row.equality.label == NOT_EXTREMAL
 
 
@@ -360,6 +401,20 @@ def test_sweep_raises_when_equality_member_lands_in_band(monkeypatch):
     monkeypatch.setattr(verify, "STRICT_MARGIN", 1e-30)
     with pytest.raises(VerificationError, match="equality set mismatch"):
         verify_theorem_1(4)
+
+
+def test_sweep_raises_when_equality_class_missing(monkeypatch):
+    # a sweep that never meets the cycle's class must name it as missing
+    cycle = canonical_form(cycle_graph(5))
+    enumerate_all = verify.enumerate_graphs
+
+    def without_cycle(n, predicate):
+        return (g for g in enumerate_all(n, predicate) if g.to_graph6() != cycle)
+
+    monkeypatch.setattr(verify, "enumerate_graphs", without_cycle)
+    with pytest.raises(VerificationError) as info:
+        verify_theorem_1(5)
+    assert str(info.value) == f"equality set mismatch at n = 5: missing {[cycle]}"
 
 
 @pytest.mark.parametrize(
@@ -454,7 +509,7 @@ def test_theta_sweep_flags_ties_without_family_member(monkeypatch):
     monkeypatch.setattr(verify, "EQUAL_TOL", 10.0)
     for report in verify_theorem_2(6):
         no_member = [r for r in report.rows if r.triple[0] >= 2]
-        assert report.flagged == tuple(sorted(r.code.code for r in no_member))
+        assert report.flagged == tuple(sorted(r.code for r in no_member))
         for row in no_member:
             assert row.equality.label == NOT_EXTREMAL
             assert "no equality family member" in row.equality.flag_reason
@@ -493,11 +548,46 @@ def test_csv_shape_and_quoting(t1_small):
     assert raw_line and '"h2:n=6:i=1,2"' in raw_line[0]
 
 
+# each CSV column and the JSON row field it holds
+CSV_NAMES = {
+    "n": "n",
+    "canonical_code": "code",
+    "alpha": "alpha",
+    "alpha_cycle": "alpha_gprime",
+    "gap": "gap",
+    "class_label": "label",
+    "matched_spec": "matched_spec",
+    "hamiltonian": "hamiltonian",
+    "rewire_alpha_drop": "rewire_drop",
+}
+
+
+def _csv_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@pytest.mark.parametrize("theorem", ["t1", "t2"])
+def test_csv_lines_are_json_rows_renamed(t1_small, theorem):
+    reports = [t1_small[6]] if theorem == "t1" else verify_theorem_2(10)
+    lines = list(csv.reader(io.StringIO(report_to_csv(reports))))
+    assert tuple(lines[0]) == CSV_COLUMNS == tuple(CSV_NAMES)
+    want = [
+        [_csv_cell(row[field]) for field in CSV_NAMES.values()]
+        for report in reports
+        for row in json.loads(report_to_json(report))["rows"]
+    ]
+    assert lines[1:] == want
+
+
 def test_csv_floats_roundtrip(t1_small):
     text = report_to_csv([t1_small[4]])
     for row in list(csv.reader(io.StringIO(text)))[1:]:
         alpha = float(row[2])
-        match = [r for r in t1_small[4].rows if r.code.code == row[1]]
+        match = [r for r in t1_small[4].rows if r.code == row[1]]
         assert match and match[0].alpha == alpha  # repr() roundtrips exactly
 
 
