@@ -38,11 +38,18 @@ arrangement is tried, since swapping them is an automorphism: phase (a)
 adds v only while its smaller twins are in S, and phase (b) places v only
 once its smaller twins are placed. A prefix is cut once it exceeds the
 best string found so far.
+
+The same search yields the automorphism group of a graph in canonical
+labeling (automorphism_generators), for the level builder's orbit step.
+Seeded with the graph's own string, which is then the minimum, every leaf
+that ties it is a vertex order under which the graph reads the same, so
+that order is an automorphism. Twin arrangements are never tried, so one
+transposition per pair of consecutive twins joins the generators.
 """
 
 from __future__ import annotations
 
-from .errors import OrderLimitError
+from .errors import GraphError, OrderLimitError
 from .graphs import Graph, graph6_from_int
 
 ORDER_LIMIT = 12
@@ -87,6 +94,50 @@ def canon_min_bits(rows: tuple[int, ...]) -> int:
     which for a fixed order of those vertices is the least order of S, as
     their bits over S are compared in placement order.
     """
+    best: list[int] = []
+    _search(rows, best, None)
+    bits = 0
+    for d, col in enumerate(best):
+        bits = bits << d | col
+    return bits
+
+
+def automorphism_generators(rows: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Generators of the automorphism group of a graph in canonical labeling
+    (module docstring): the vertex order of each leaf that ties the
+    graph's own string, read as the map i -> order[i], and one
+    transposition per pair of consecutive twins. They generate the whole
+    group (checked against a brute-force count for every connected class
+    with n <= 7). The identity is left out, so an asymmetric graph has
+    none. Raises GraphError if some relabeling of rows spells a smaller
+    string.
+    """
+    n = len(rows)
+    # column d of the identity labeling: bits of pairs (0, d), .., (d-1, d)
+    seed = [sum((rows[d] >> u & 1) << d - 1 - u for u in range(d)) for d in range(n)]
+    best = list(seed)
+    leaves: list[tuple[int, ...]] = []
+    twins = _search(rows, best, leaves)
+    if best != seed:
+        raise GraphError("automorphism generators need a graph in canonical labeling")
+    identity = tuple(range(n))
+    gens = [order for order in leaves if order != identity]
+    for v, smaller in enumerate(twins):
+        if smaller:
+            u = smaller.bit_length() - 1  # the nearest smaller twin
+            swap = list(identity)
+            swap[u], swap[v] = v, u
+            gens.append(tuple(swap))
+    return gens
+
+
+def _search(rows, best, leaves) -> list[int]:
+    """Run both phases over rows, leaving the least string's columns in best.
+
+    best may come seeded with a string's columns, and leaves, when not
+    None, collects the vertex order of each leaf that ties best (_extend).
+    Returns the twin masks.
+    """
     n = len(rows)
     # twins[v]: the twins of v with smaller labels; swapping v with one of
     # them is an automorphism, so only one of each arrangement is tried
@@ -98,15 +149,16 @@ def canon_min_bits(rows: tuple[int, ...]) -> int:
     full = (1 << n) - 1
     sets: list[int] = []
     _choose(rows, twins, full, 0, 0, full, sets)
-    best: list[int] = []
+    placed = None if leaves is None else []
     for s in sets:
         rest = [v for v in range(n) if not s >> v & 1]
         cols = [_over_s([s], rows[v]) for v in rest]
-        _extend(rows, twins, rest, cols, full ^ s, [s], [0] * s.bit_count(), best, False)
-    bits = 0
-    for d, col in enumerate(best):
-        bits = bits << d | col
-    return bits
+        size = s.bit_count()
+        # S's zero columns already beat a seed with a nonzero column among
+        # its first |S|, which only a string that is not minimal has
+        less = any(best[:size])
+        _extend(rows, twins, rest, cols, full ^ s, [s], [0] * size, best, less, placed, leaves)
+    return twins
 
 
 def _choose(rows, twins, full, s, covered, cand, sets) -> None:
@@ -138,7 +190,7 @@ def _choose(rows, twins, full, s, covered, cand, sets) -> None:
             _choose(rows, twins, full, s | low, covered | low | rows[v], cand & ~rows[v], sets)
 
 
-def _extend(rows, twins, rest, cols, free, cells, path, best, less) -> bool:
+def _extend(rows, twins, rest, cols, free, cells, path, best, less, placed, leaves) -> bool:
     """One node of phase (b); True if it replaced best.
 
     path holds the columns placed so far, the zero columns of S first; rest
@@ -147,12 +199,16 @@ def _extend(rows, twins, rest, cols, free, cells, path, best, less) -> bool:
     induce: a column's bits over S list each cell's non-neighbours before
     its neighbours (_over_s), and placing a vertex splits every cell that
     way. best holds the columns of the best complete string, and less says
-    path is already below it.
+    path is already below it. leaves is None, or collects the vertex order
+    of every leaf that ties best: each cell's members ascending, then the
+    vertices in placed, which this search keeps only then.
     """
     if not rest:
         if less or not best:
             best[:] = path
             return True
+        if leaves is not None:
+            leaves.append(tuple(v for c in cells for v in range(c.bit_length()) if c >> v & 1) + tuple(placed))
         return False
     m = min(cols)
     if best and not less:
@@ -176,10 +232,14 @@ def _extend(rows, twins, rest, cols, free, cells, path, best, less) -> bool:
             # k low bits, over the vertices placed after S, stay
             k = len(path) - sum(c.bit_count() for c in cells)
             ncols = [_over_s(ncells, rows[u]) << k | c & (1 << k) - 1 for u, c in zip(nrest, ncols)]
-        if _extend(rows, twins, nrest, ncols, free ^ 1 << v, ncells, path, best, less):
+        if placed is not None:
+            placed.append(v)
+        if _extend(rows, twins, nrest, ncols, free ^ 1 << v, ncells, path, best, less, placed, leaves):
             # path is now best's prefix, so later siblings must beat it
             improved = True
             less = False
+        if placed is not None:
+            placed.pop()
     path.pop()
     return improved
 

@@ -261,7 +261,9 @@ def hamiltonian_cycle(g: Graph) -> tuple[int, ...] | None:
     deg = g.degrees()
     if n < 3 or min(deg) < 2:
         return None
-    nbrs = [sorted(g.neighbors(v), key=lambda u: (deg[u], u)) for v in range(n)]
+    # sorted once by (degree, label); each neighbour list keeps that order
+    order = sorted(range(n), key=lambda u: (deg[u], u))
+    nbrs = [[u for u in order if row >> u & 1] for row in g._rows]
     path = [0]
     return tuple(path) if _extend_path(nbrs, path, 1, (1 << n) - 1) else None
 

@@ -21,6 +21,20 @@ let several children of one class through; the set of canonical codes
 removes those duplicates. Levels are cached per process, except that a
 build given an rng shuffles and rebuilds every level and caches none.
 
+One child per orbit: an automorphism s of P, extended by k -> k, maps
+the child of mask M onto the child of mask s(M), so the masks in one
+orbit of Aut(P) give isomorphic children. The acceptance test and the
+predicate are isomorphism invariants, so such children pass or fail
+together and share a canonical form; only the least mask of each orbit
+is tried. P is decoded from its canonical code, so the canonical search
+reads Aut(P)'s generators off its tied leaves
+(canon.automorphism_generators). Each generator acts on masks through a
+2^k-entry table, and a parent with no generator tries every mask. The
+least mask of an orbit does not depend on the order masks are met in, so
+a seeded build canonicalizes the same children as a plain one. Most
+duplicate children of one parent are such orbit mates; the set of codes
+removes the rest.
+
 A predicate (biconnected, anything else over connected graphs) filters
 the top level only, and before the costly step: each accepted child of
 order n is tested, and only those that pass get a canonical form. That
@@ -37,7 +51,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Iterator
 
-from .canon import canonical_form
+from .canon import automorphism_generators, canonical_form
 from .connectivity import connected_within
 from .errors import OrderLimitError, as_index
 from .graphs import Graph, graph_from_graph6
@@ -74,7 +88,8 @@ def _connected_codes(
         g = graph_from_graph6(code)
         if rng is not None:
             rng.shuffle(masks)
-        for mask in masks:
+        gens = automorphism_generators(g._rows)
+        for mask in _orbit_minima(masks, gens, k) if gens else masks:
             if not _k_may_be_deleted(g._rows, mask):
                 continue
             pairs = list(g.edges)
@@ -88,6 +103,35 @@ def _connected_codes(
     if cacheable:
         _level_cache[n] = codes
     return codes
+
+
+def _orbit_minima(masks: list[int], gens: list[tuple[int, ...]], k: int) -> list[int]:
+    """The least mask of each orbit of the group gens generate, acting on
+    k-bit masks; each orbit is met in the order of masks, so the set kept
+    does not depend on that order."""
+    tables = []
+    for perm in gens:
+        # the image of a mask is its lowest bit's image joined to the rest's
+        table = [0] * (1 << k)
+        for mask in range(1, 1 << k):
+            low = mask & -mask
+            table[mask] = table[mask ^ low] | 1 << perm[low.bit_length() - 1]
+        tables.append(table)
+    seen = bytearray(1 << k)
+    out = []
+    for mask in masks:
+        if seen[mask]:
+            continue
+        seen[mask] = 1
+        orbit = [mask]
+        for m in orbit:
+            for table in tables:
+                image = table[m]
+                if not seen[image]:
+                    seen[image] = 1
+                    orbit.append(image)
+        out.append(min(orbit))
+    return out
 
 
 def _k_may_be_deleted(parent_rows: tuple[int, ...], mask: int) -> bool:

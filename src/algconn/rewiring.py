@@ -12,21 +12,27 @@ spanning cycle, checked before the certificate is issued, so its algebraic
 connectivity is alpha(C_n) and comes from the closed form. For
 non-Hamiltonian inputs it drops strictly below the input's, which the
 certificate records.
+
+rewire validates its input: n >= 4, a biconnected graph, a vector of
+length n, and an eigenpair residual it measures on its own Laplacian.
+The construction and every check on it (the partition, the telescoping
+inequality, the quadratic-form chain, the spanning cycle) live in one
+internal entry, _rewire, which rewire calls before it builds the
+certificate. A sweep row calls _rewire directly: its graph is biconnected
+with n >= 4 by construction, and fiedler_vector has measured the same
+residual on the same Laplacian. It builds no certificate and no Graph
+for G', which _rewire keeps as its vertex sequence.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .connectivity import (
-    hamiltonian_cycle,
-    inner_disjoint_paths,
-    is_biconnected,
-    is_connected,
-)
+from .connectivity import hamiltonian_cycle, inner_disjoint_paths, is_biconnected
 from .errors import GraphError, RewireDefectError
 from .graphs import Graph
 from .spectra import FiedlerResult, alpha_cycle_closed_form, fiedler_vector, quadratic_form
@@ -122,7 +128,8 @@ class RewireCertificate:
 
 
 def rewire(g: Graph, f: FiedlerResult) -> RewireCertificate:
-    """Build the spanning cycle G' and its quadratic-form certificate."""
+    """Build the spanning cycle G' and its quadratic-form certificate,
+    after validating the input (module docstring)."""
     if g.n < 4:
         raise GraphError(f"rewiring needs n >= 4, got n = {g.n}")
     if not is_biconnected(g):
@@ -131,17 +138,56 @@ def rewire(g: Graph, f: FiedlerResult) -> RewireCertificate:
     if x.shape != (g.n,):
         raise GraphError("Fiedler vector length does not match the graph")
     lap = g.laplacian().astype(np.float64)
-    # inf or NaN input leaves a NaN residual, which fails every comparison,
-    # so the check is written to reject it
+    # inf or NaN input leaves a NaN residual, which _rewire rejects
     with np.errstate(invalid="ignore"):
         resid = float(np.max(np.abs(lap @ x - f.alpha * x)))
-    if not resid <= 1e-6:
-        raise GraphError("vector/alpha pair is not an eigenpair of this graph")
+    r = _rewire(g, x, resid)
+    return RewireCertificate(
+        v_min=r.v_min,
+        v_max=r.v_max,
+        cycle=r.cycle,
+        p1=r.p1,
+        p2=r.p2,
+        assignments=tuple(tuple(lst) for lst in r.lists),
+        g_prime=Graph(g.n, r.pairs),
+        q_g=r.q_g,
+        q_c=r.q_c,
+        q_gprime=r.q_gprime,
+        alpha_g=float(f.alpha),
+        alpha_gprime=alpha_cycle_closed_form(g.n),
+        hamiltonian_case=len(r.cycle) == g.n,
+    )
 
+
+class _Rewired(NamedTuple):
+    v_min: int
+    v_max: int
+    cycle: tuple[int, ...]
+    p1: tuple[int, ...]
+    p2: tuple[int, ...]
+    lists: list[list[int]]
+    pairs: list[tuple[int, int]]  # the edges of G', sorted like an edge_list
+    q_g: float
+    q_c: float
+    q_gprime: float
+
+
+def _rewire(g: Graph, x: np.ndarray, residual: float) -> _Rewired:
+    """The rewiring of g under the Fiedler vector x, with every check on it.
+
+    residual is max |L x - alpha x| over g's Laplacian L. The caller has
+    established the rest of rewire's input checks: n >= 4, g biconnected,
+    and x of length n (module docstring). G' is kept as its vertex
+    sequence: _cycle_pairs refuses a repeated vertex, so the sequence is
+    one spanning cycle exactly when it has n vertices.
+    """
+    # NaN fails every comparison, so the check is written to reject it
+    if not residual <= 1e-6:
+        raise GraphError("vector/alpha pair is not an eigenpair of this graph")
     v_min, v_max = extreme_vertices(x)
     ps = inner_disjoint_paths(g, v_min, v_max, 2)
     p1, p2 = ps.paths[0], ps.paths[1]  # sorted order: p1 has the smaller second vertex
-    cycle = tuple(p1) + tuple(reversed(p2[1:-1]))
+    cycle = p1 + tuple(reversed(p2[1:-1]))
     offcycle = sorted(set(range(g.n)) - set(cycle))
 
     lists = interval_assignment(p1, offcycle, x)
@@ -161,35 +207,22 @@ def rewire(g: Graph, f: FiedlerResult) -> RewireCertificate:
             raise RewireDefectError(
                 f"telescoping inequality failed on pair {w} of P1"
             )
-    g_prime = _thread(g.n, cycle, p1, lists, xs)
+    seq = _thread(cycle, p1, lists, xs)
+    pairs = _cycle_pairs(seq)
 
     q_g = quadratic_form(g.edge_list, xs)
     q_c = quadratic_form(_cycle_pairs(cycle), xs)
-    q_gp = quadratic_form(g_prime.edge_list, xs)
+    q_gp = quadratic_form(pairs, xs)
     if not (q_gp <= q_c + Q_CHAIN_SLACK and q_c <= q_g + Q_CHAIN_SLACK):
         raise RewireDefectError(
             f"quadratic-form chain violated: q_G' = {q_gp!r}, q_C = {q_c!r}, "
             f"q_G = {q_g!r}"
         )
-    # connected and 2-regular on all n vertices is one spanning cycle, the
-    # graph whose alpha the closed form gives
-    if g_prime.n != g.n or any(d != 2 for d in g_prime.degrees()) or not is_connected(g_prime):
+    # a cycle through all n vertices, none repeated, is the graph whose
+    # alpha the closed form gives
+    if len(seq) != g.n:
         raise RewireDefectError("rewired graph is not a single spanning cycle")
-    return RewireCertificate(
-        v_min=v_min,
-        v_max=v_max,
-        cycle=cycle,
-        p1=tuple(p1),
-        p2=tuple(p2),
-        assignments=tuple(tuple(lst) for lst in lists),
-        g_prime=g_prime,
-        q_g=q_g,
-        q_c=q_c,
-        q_gprime=q_gp,
-        alpha_g=float(f.alpha),
-        alpha_gprime=alpha_cycle_closed_form(g.n),
-        hamiltonian_case=not offcycle,
-    )
+    return _Rewired(v_min, v_max, cycle, p1, p2, lists, pairs, q_g, q_c, q_gp)
 
 
 def _cycle_pairs(seq: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -199,15 +232,15 @@ def _cycle_pairs(seq: tuple[int, ...]) -> list[tuple[int, int]]:
     return sorted((a, b) if a < b else (b, a) for a, b in zip(seq, seq[1:] + seq[:1]))
 
 
-def _thread(n, cycle, p1, lists, x) -> Graph:
-    """The spanning cycle: each P1 pair's list threaded between its ends."""
+def _thread(cycle, p1, lists, x) -> tuple[int, ...]:
+    """G' as a vertex sequence: each P1 pair's list threaded between its ends."""
     seq = []
     for w, lst in enumerate(lists):
         seq.append(p1[w])
         # ascend from the endpoint with smaller x
         seq.extend(lst if x[p1[w]] <= x[p1[w + 1]] else reversed(lst))
     seq.extend(cycle[len(lists):])
-    return Graph(n, _cycle_pairs(tuple(seq)))
+    return tuple(seq)
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,7 @@ from .families import (
     theta_triples,
 )
 from .graphs import Graph, graph_from_graph6
-from .rewiring import rewire
+from .rewiring import _rewire
 from .spectra import alpha_cycle_closed_form, fiedler_vector
 
 NOT_EXTREMAL = "not_extremal"
@@ -169,13 +169,17 @@ def _row(
     triple: tuple[int, int, int] | None = None,
     alpha: float | None = None,
 ) -> SweepRow:
-    """Fiedler vector, verdict and rewiring certificate of one sweep graph.
+    """Fiedler vector, verdict and rewiring checks of one sweep graph.
 
     code is g's row key, spec the family member g is known to be (or
-    None), and triple g's path lengths when it is a theta graph. The
-    certificate is built only for the checks rewire makes on it. A row
-    resumed from a checkpoint passes its stored alpha: the Fiedler solve
-    and rewire ran when that row was written, so only the verdict runs.
+    None), and triple g's path lengths when it is a theta graph. g is
+    biconnected with n >= 4 by construction (the level filter, or the
+    theta construction), so the row runs the rewiring and its checks
+    through _rewire without rewire's input validation, with the residual
+    fiedler_vector measured on the same Laplacian, and builds no
+    certificate. A row resumed from a checkpoint passes its stored alpha:
+    the Fiedler solve and the rewiring ran when that row was written, so
+    only the verdict runs.
     """
     name = code if triple is None else f"theta{triple} ({code})"
     f = None
@@ -186,7 +190,7 @@ def _row(
     eq = _verdict(name, g.n, alpha, spec, hamiltonian)
     if f is not None:
         with _stage("rewire", name):
-            rewire(g, f)
+            _rewire(g, f.vector, f.residual)
     return SweepRow(g.n, code, alpha, eq, hamiltonian, triple)
 
 

@@ -11,7 +11,7 @@ import oracles
 from golden import DATA
 from algconn import canon
 from algconn.canon import canonical_form, degree_profile, is_isomorphic
-from algconn.errors import OrderLimitError
+from algconn.errors import GraphError, OrderLimitError
 from algconn.families import FamilyKind, FamilySpec, realize, theta_triples
 from algconn.graphs import (
     Graph,
@@ -234,6 +234,47 @@ def test_search_branches_only_on_minimum_columns(g, ceiling, monkeypatch):
     monkeypatch.setattr(canon, "_choose", counted(canon._choose))
     monkeypatch.setattr(canon, "_extend", counted(canon._extend))
     canonical_form(g)
+
+
+def group_order(gens, n):
+    """Size of the permutation group gens generate, by closure."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        grown = []
+        for a in frontier:
+            for p in gens:
+                c = tuple(p[v] for v in a)
+                if c not in group:
+                    group.add(c)
+                    grown.append(c)
+        frontier = grown
+    return len(group)
+
+
+def test_automorphism_generators_generate_the_group():
+    # the tied leaves and twin transpositions must generate all of Aut(P),
+    # counted by brute force over every permutation, for every connected
+    # class with n <= 7; without the twin transpositions K2 would read 1
+    from algconn.connectivity import is_connected
+    from algconn.enumeration import enumerate_graphs
+
+    for n in range(1, 8):
+        table = oracles.perm_source_table(n)
+        for g in enumerate_graphs(n, is_connected):
+            gens = canon.automorphism_generators(g._rows)
+            for p in gens:
+                assert relabel(g, p) == g, (g.to_graph6(), p)
+            assert group_order(gens, n) == oracles.automorphism_count(g, table), g.to_graph6()
+
+
+def test_automorphism_generators_need_canonical_labeling():
+    # the path 0-1-2 is not canonical (its code puts the middle vertex
+    # last), so the seeded search finds a smaller string and refuses
+    g = graph_from_edges(3, [(0, 1), (1, 2)])
+    assert canonical_form(g) != g.to_graph6()
+    with pytest.raises(GraphError, match="canonical labeling"):
+        canon.automorphism_generators(g._rows)
 
 
 class TestIsIsomorphic:

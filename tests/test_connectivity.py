@@ -1,5 +1,6 @@
 """Cut vertices, Menger flow machinery, theta recognition, Hamiltonicity."""
 
+import hashlib
 import itertools
 import random
 
@@ -377,6 +378,18 @@ class TestHamiltonian:
 
     def test_small_graphs_never_hamiltonian(self):
         assert hamiltonian_cycle(complete_graph(2)) is None
+
+    def test_cycles_digest_all_connected_classes_to_n8(self):
+        # the branching order, and so the cycle found, is pinned: sha256
+        # over repr(hamiltonian_cycle(g)) for every connected class with
+        # 3 <= n <= 8, in enumeration order
+        digest = hashlib.sha256()
+        for n in range(3, 9):
+            for g in enumerate_graphs(n, is_connected):
+                digest.update(repr(hamiltonian_cycle(g)).encode())
+        assert digest.hexdigest() == (
+            "1d2a16c0b27e6cf28b13bb45dc5d62e191f61adc1639ecb75bf19b47bd46e5a9"
+        )
 
     def test_agrees_with_brute_force_all_classes_n6(self):
         for g in enumerate_graphs(6, lambda _: True):

@@ -177,13 +177,14 @@ def test_filtered_level_canonicalizes_only_passing_children(
 
 
 def test_filtered_top_level_call_count_n7(cold_level_cache, canonical_calls):
-    # of the 1,477 children of order 7 the acceptance test lets through,
-    # the 790 that are 2-connected get a canonical form
+    # of the 902 children of order 7 the acceptance test lets through,
+    # one per Aut(P) orbit of masks, the 496 that are 2-connected get a
+    # canonical form
     assert count_classes(7, is_biconnected) == BICONNECTED_CLASS_COUNTS[7]
-    assert sum(1 for c in canonical_calls if graph_from_graph6(c).n == 7) == 790
+    assert sum(1 for c in canonical_calls if graph_from_graph6(c).n == 7) == 496
     canonical_calls.clear()
     assert len(_connected_codes(7)) == CONNECTED_CLASS_COUNTS[7]
-    assert len(canonical_calls) == 1477
+    assert len(canonical_calls) == 902
 
 
 def test_frozen_regression_counts():

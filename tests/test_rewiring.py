@@ -229,21 +229,21 @@ class TestRewire:
         off = sorted(set(range(6)) - set(cert.cycle))
         assert sorted(v for lst in cert.assignments for v in lst) == off
 
-    def test_two_disjoint_cycles_rejected(self, monkeypatch):
-        # 2-regular on all n vertices is not enough: alpha(G') is taken from
-        # the closed form, so G' must be one connected cycle
-        # low-x and high-x triangles keep the quadratic-form chain intact,
-        # so only the spanning-cycle check can catch them
-        def two_triangles(n, cycle, p1, lists, x):
-            order = sorted(range(n), key=lambda v: (x[v], v))
-            pairs = []
-            for a, b, c in (order[:3], order[3:]):
-                pairs += [(a, b), (b, c), (a, c)]
-            return graph_from_edges(n, pairs)
+    def test_sequence_missing_a_vertex_rejected(self, monkeypatch):
+        # G' is kept as its vertex sequence, and alpha(G') is taken from the
+        # closed form, so the sequence must visit all n vertices. Dropping
+        # the vertex of largest x only shortens the quadratic form, so the
+        # chain holds and only the spanning-cycle check can catch it
+        thread = rewiring._thread
+
+        def misses_one(cycle, p1, lists, x):
+            seq = thread(cycle, p1, lists, x)
+            top = max(seq, key=lambda v: x[v])
+            return tuple(v for v in seq if v != top)
 
         g = graph_from_edges(6, [(a, b) for a in (0, 1) for b in (2, 3, 4, 5)])
         f = fiedler_vector(g)
-        monkeypatch.setattr(rewiring, "_thread", two_triangles)
+        monkeypatch.setattr(rewiring, "_thread", misses_one)
         with pytest.raises(RewireDefectError, match="single spanning cycle"):
             rewire(g, f)
 

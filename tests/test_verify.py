@@ -9,13 +9,14 @@ import math
 import os
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from golden import DATA, assert_matches_golden
 from algconn.canon import canonical_form
 from algconn.connectivity import hamiltonian_cycle, is_biconnected
 from algconn.enumeration import enumerate_graphs
-from algconn.errors import ConvergenceError, RewireDefectError, VerificationError
+from algconn.errors import ConvergenceError, GraphError, RewireDefectError, VerificationError
 from algconn.families import (
     FamilyKind,
     FamilySpec,
@@ -441,7 +442,8 @@ def test_row_errors_name_stage_and_graph(monkeypatch, stage, error, theorem):
     def fails(*args):
         raise error("boom")
 
-    monkeypatch.setattr(verify, stage, fails)
+    # a sweep row reaches the rewiring through rewire's internal entry
+    monkeypatch.setattr(verify, "_rewire" if stage == "rewire" else stage, fails)
     if theorem == "t1":
         name = next(enumerate_graphs(4, is_biconnected)).to_graph6()
         sweep = lambda: verify_theorem_1(4)
@@ -451,6 +453,35 @@ def test_row_errors_name_stage_and_graph(monkeypatch, stage, error, theorem):
     with pytest.raises(error) as info:
         sweep()
     assert str(info.value) == f"{stage} failed at {name}: boom"
+
+
+@pytest.mark.parametrize("theorem", ["t1", "t2"])
+def test_row_rejects_fiedler_pair_that_is_not_an_eigenpair(monkeypatch, theorem):
+    # a sweep row checks the residual fiedler_vector reports instead of
+    # measuring its own; a perturbed vector, with the residual computed
+    # from it, must still be refused at the rewire stage
+    fiedler = verify.fiedler_vector
+
+    def perturbed(g):
+        f = fiedler(g)
+        x = f.vector.copy()
+        x[0] += 1e-3
+        lap = g.laplacian().astype(float)
+        return replace(f, vector=x, residual=float(np.max(np.abs(lap @ x - f.alpha * x))))
+
+    monkeypatch.setattr(verify, "fiedler_vector", perturbed)
+    sweep = verify_theorem_1 if theorem == "t1" else verify_theorem_2
+    with pytest.raises(GraphError, match=r"^rewire failed at .*: vector/alpha pair is not an eigenpair"):
+        sweep(4)
+
+
+def test_theta_rows_are_biconnected():
+    # _theta_row runs the rewiring without rewire's biconnectivity check,
+    # which every theta triple in the sweep's range must therefore pass
+    for n in range(4, 41):
+        for triple in theta_triples(n):
+            g = realize(FamilySpec(FamilyKind.THETA, n, triple))
+            assert g.n == n and is_biconnected(g), triple
 
 
 @pytest.mark.parametrize("theorem", ["t1", "t2"])
