@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 computation or verification failure, 2 usage.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -18,13 +19,7 @@ from .families import parse_family_text, realize
 from .graphs import parse_graph_text
 from .rewiring import certificate_to_json, certificate_to_text, rewire
 from .spectra import fiedler_vector
-from .verify import (
-    report_to_csv,
-    report_to_dict,
-    report_to_json,
-    verify_theorem_1,
-    verify_theorem_2,
-)
+from .verify import verify_theorem_1, verify_theorem_2, write_csv, write_json
 
 _PREDICATES = {"connected": is_connected, "biconnected": is_biconnected}
 
@@ -121,24 +116,21 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # t1 prints one report object; t2 prints a list, one report per order
+    # t1 writes one report object; t2 a list, one report per order
     if args.verify_command == "t1":
-        reports = [
-            verify_theorem_1(args.n, jobs=args.jobs, checkpoint=args.checkpoint)
-        ]
-        body = report_to_json(reports[0])
+        data = verify_theorem_1(args.n, jobs=args.jobs, checkpoint=args.checkpoint)
+        reports = [data]
     else:
-        reports = verify_theorem_2(args.n_max)
-        body = json.dumps(
-            [report_to_dict(r) for r in reports], indent=2, sort_keys=True
-        )
-    print(body)
-    if args.json_path:
-        with open(args.json_path, "w", encoding="ascii") as fh:
-            fh.write(body + "\n")
+        data = reports = verify_theorem_2(args.n_max)
+    # the report streams to stdout and the --json file in one pass
+    with contextlib.ExitStack() as stack:
+        outs = [sys.stdout]
+        if args.json_path:
+            outs.append(stack.enter_context(open(args.json_path, "w", encoding="ascii")))
+        write_json(data, *outs)
     if args.csv_path:
         with open(args.csv_path, "w", encoding="ascii") as fh:
-            fh.write(report_to_csv(reports))
+            write_csv(reports, fh)
     flagged = [code for r in reports for code in r.flagged]
     if flagged:
         print(f"FLAGGED: {len(flagged)} ambiguous case(s): {flagged}", file=sys.stderr)

@@ -43,7 +43,7 @@ accepted children of one class pass or fail together. The levels below
 stay unfiltered and cached; a filtered level never enters the cache. It
 is built only when level n is not cached already: a cached level is
 filtered by decoding each of its codes once, testing that graph and
-yielding it, which costs far less than building the level.
+yielding it (or its code), which costs far less than building the level.
 """
 
 from __future__ import annotations
@@ -70,7 +70,8 @@ def _connected_codes(
 
     With a predicate, level n is built and each accepted child of order
     n is tested before its canonical form is computed; that result is
-    not cached. enumerate_graphs filters a cached level itself.
+    not cached. enumerate_graphs and class_codes filter a cached level
+    themselves.
     """
     cacheable = rng is None and predicate is None
     if cacheable and n in _level_cache:
@@ -188,17 +189,33 @@ def enumerate_graphs(
     level is never cached. Passing an rng permutes internal branching
     order (a robustness knob for tests); the emitted set is unchanged.
     """
-    n = as_index(n, OrderLimitError, "enumeration order")
-    if not 1 <= n <= ENUMERATION_LIMIT:
-        raise OrderLimitError(
-            f"enumeration is supported for 1 <= n <= {ENUMERATION_LIMIT}, got n = {n}"
-        )
+    n = _order(n)
     if rng is None and n in _level_cache:
         # each cached code is decoded once: the graph tested is the one yielded
         yield from filter(predicate, map(graph_from_graph6, _level_cache[n]))
     else:
         for code in _connected_codes(n, rng, predicate):
             yield graph_from_graph6(code)
+
+
+def class_codes(n: int, predicate: Callable[[Graph], bool]) -> tuple[str, ...]:
+    """The canonical codes of the classes enumerate_graphs(n, predicate)
+    yields, in the same order. A level built for this call hands its
+    codes over undecoded; a cached level decodes each code once, for the
+    predicate."""
+    n = _order(n)
+    if n in _level_cache:
+        return tuple(c for c in _level_cache[n] if predicate(graph_from_graph6(c)))
+    return _connected_codes(n, None, predicate)
+
+
+def _order(n) -> int:
+    n = as_index(n, OrderLimitError, "enumeration order")
+    if not 1 <= n <= ENUMERATION_LIMIT:
+        raise OrderLimitError(
+            f"enumeration is supported for 1 <= n <= {ENUMERATION_LIMIT}, got n = {n}"
+        )
+    return n
 
 
 def count_classes(n: int, predicate: Callable[[Graph], bool]) -> int:

@@ -30,10 +30,10 @@ empty one.
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import time
@@ -42,7 +42,7 @@ from functools import lru_cache
 
 from .canon import ORDER_LIMIT, canonical_form
 from .connectivity import hamiltonian_cycle, is_biconnected
-from .enumeration import ENUMERATION_LIMIT, enumerate_graphs
+from .enumeration import ENUMERATION_LIMIT, class_codes
 from .errors import AlgConnError, VerificationError, as_index
 from .families import (
     FamilyKind,
@@ -57,6 +57,10 @@ from .rewiring import _rewire
 from .spectra import alpha_cycle_closed_form, fiedler_vector
 
 NOT_EXTREMAL = "not_extremal"
+
+# rows per task a --jobs pool sends a worker: the checkpoint advances a
+# chunk at a time, and an interrupt loses the chunks still in flight
+CHUNK_ROWS = 64
 
 
 # the verdict's float policy (module docstring): EQUAL_TOL is the alpha
@@ -275,7 +279,7 @@ def verify_theorem_1(
     if not 1 <= jobs <= cpus:
         raise VerificationError(f"jobs must lie in 1..{cpus} (the CPU count), got {jobs}")
     start = time.monotonic()
-    codes = [g.to_graph6() for g in enumerate_graphs(n, is_biconnected)]
+    codes = class_codes(n, is_biconnected)
     done: dict[str, SweepRow] = {}
     if checkpoint and os.path.exists(checkpoint):
         done = _load_checkpoint(checkpoint, n, set(codes))
@@ -285,8 +289,11 @@ def verify_theorem_1(
         # starts, so an interrupted sweep loses none of them
         sink = checkpoint and stack.enter_context(open(checkpoint, "a", encoding="ascii", buffering=1))
         if jobs > 1 and todo:
+            # imported here: it loads logging and threading, which only a pool needs
+            import concurrent.futures
+
             pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=jobs))
-            results = pool.map(_biconnected_row, todo, chunksize=max(1, len(todo) // (4 * jobs)))
+            results = pool.map(_biconnected_row, todo, chunksize=CHUNK_ROWS)
         else:
             results = map(_biconnected_row, todo)
         for row in results:
@@ -330,7 +337,8 @@ def verify_theorem_2(n_max: int) -> list[VerificationReport]:
 
 
 # ---------------------------------------------------------------------------
-# serialization: versioned JSON and the fixed-column CSV
+# serialization: versioned JSON and the fixed-column CSV, written to
+# their sinks a block of rows at a time
 # ---------------------------------------------------------------------------
 
 # rewire certifies that G' is a spanning cycle, so alpha(G') is alpha(C_n)
@@ -368,7 +376,7 @@ def _row_to_dict(row: SweepRow) -> dict:
     }
 
 
-def report_to_dict(report: VerificationReport) -> dict:
+def _report_dict(report: VerificationReport, rows) -> dict:
     return {
         "schema": 1,
         "theorem": report.theorem,
@@ -376,26 +384,92 @@ def report_to_dict(report: VerificationReport) -> dict:
         "count": report.count,
         "alpha_cycle": report.alpha_cycle,
         "min_alpha": report.min_alpha,
-        "rows": [_row_to_dict(r) for r in report.rows],
+        "rows": rows,
         "flagged": list(report.flagged),
         "runtime": report.runtime,
     }
 
 
+def report_to_dict(report: VerificationReport) -> dict:
+    return _report_dict(report, [_row_to_dict(r) for r in report.rows])
+
+
+# stands in for the rows while the rest of a report is dumped
+_ROWS_MARK = "rows go here"
+# characters per write: a few dozen rows, so an unbuffered stdout gets
+# few syscalls and the writer holds no more than one block
+_BLOCK_CHARS = 1 << 14
+
+
+def _report_pieces(report: VerificationReport, depth: int):
+    """json.dumps(report_to_dict(report), indent=2, sort_keys=True) nested
+    depth levels deep, in pieces: the text before the rows, one piece per
+    row, and the rest. Sorted keys put every summary before the rows, and
+    a report always has rows (min_alpha needs one)."""
+    pad = "\n" + "  " * depth
+    text = json.dumps(_report_dict(report, _ROWS_MARK), indent=2, sort_keys=True)
+    head, tail = text.replace("\n", pad).split(json.dumps(_ROWS_MARK))
+    yield head
+    row_pad = pad + "    "
+    sep = "["
+    for row in report.rows:
+        row_text = json.dumps(_row_to_dict(row), indent=2, sort_keys=True)
+        yield sep + row_pad + row_text.replace("\n", row_pad)
+        sep = ","
+    yield pad + "  ]" + tail
+
+
+def _json_pieces(data):
+    """The JSON of a report (report_to_dict) or of a list of reports (the
+    list of those), as json.dumps(..., indent=2, sort_keys=True) writes it."""
+    if isinstance(data, VerificationReport):
+        yield from _report_pieces(data, 0)
+        return
+    sep = "["
+    for report in data:
+        yield sep + "\n  "
+        yield from _report_pieces(report, 1)
+        sep = ","
+    yield "\n]" if sep == "," else "[]"
+
+
+def write_json(data, *outs) -> None:
+    """Write the JSON of a report or a list of reports, and a newline, to
+    each of outs, a block of about _BLOCK_CHARS characters at a time."""
+    for text in _blocks(itertools.chain(_json_pieces(data), ("\n",))):
+        for out in outs:
+            out.write(text)
+
+
+def _blocks(pieces):
+    block, size = [], 0
+    for piece in pieces:
+        block.append(piece)
+        size += len(piece)
+        if size >= _BLOCK_CHARS:
+            yield "".join(block)
+            block, size = [], 0
+    yield "".join(block)
+
+
 def report_to_json(report: VerificationReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True)
+    return "".join(_json_pieces(report))
 
 
-def report_to_csv(reports) -> str:
-    """Fixed-column CSV over one or more reports: the _row_to_dict fields
-    named by _CSV_FIELDS, with None empty, floats by repr and specs with
-    commas quoted."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def write_csv(reports, out) -> None:
+    """Fixed-column CSV over one or more reports, a row at a time: the
+    _row_to_dict fields named by _CSV_FIELDS, with None empty, floats by
+    repr and specs with commas quoted."""
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for report in reports:
         for row in report.rows:
             d = _row_to_dict(row)
             d["hamiltonian"] = str(d["hamiltonian"]).lower()
             writer.writerow(d[key] for key in _CSV_FIELDS.values())
+
+
+def report_to_csv(reports) -> str:
+    buf = io.StringIO()
+    write_csv(reports, buf)
     return buf.getvalue()

@@ -174,6 +174,15 @@ class TestVerify:
         rows = list(csv.reader(io.StringIO(cpath.read_text())))
         assert rows[0][0] == "n" and len(rows) == 4
 
+    @pytest.mark.parametrize("sweep", [("t1", "--n", "6"), ("t2", "--n-max", "12")], ids=["t1", "t2"])
+    def test_stdout_is_the_json_file(self, capsys, tmp_path, sweep):
+        # one writer feeds both, so they hold the same bytes
+        jpath = tmp_path / "r.json"
+        code, out, _ = run(capsys, "verify", *sweep, "--json", str(jpath))
+        assert code == 0
+        assert out.encode("ascii") == jpath.read_bytes()
+        assert json.loads(out)
+
     def test_t2_multi_report_array(self, capsys):
         # t2 prints a list even when --n-max 4 leaves one report
         for n_max, orders in (("6", [4, 5, 6]), ("4", [4])):

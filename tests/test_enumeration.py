@@ -13,6 +13,7 @@ from algconn.connectivity import is_biconnected, is_connected, is_theta
 from algconn import enumeration
 from algconn.enumeration import (
     _connected_codes,
+    class_codes,
     count_classes,
     enumerate_graphs,
     write_graph6_stream,
@@ -141,6 +142,29 @@ def test_filtered_call_served_from_cached_level(cold_level_cache, canonical_call
     served = [g.to_graph6() for g in enumerate_graphs(n, predicate)]
     assert served == built
     assert canonical_calls == []
+
+
+@pytest.mark.parametrize("predicate", FILTERS.values(), ids=FILTERS)
+def test_class_codes_are_the_enumerated_codes(cold_level_cache, monkeypatch, predicate):
+    decode, decoded = enumeration.graph_from_graph6, []
+
+    def counted(code):
+        decoded.append(code)
+        return decode(code)
+
+    monkeypatch.setattr(enumeration, "graph_from_graph6", counted)
+    for n in range(4, 8):
+        want = tuple(g.to_graph6() for g in enumerate_graphs(n, predicate))
+        decoded.clear()
+        assert class_codes(n, predicate) == want
+        # a level built for the call decodes its parents, of order n - 1,
+        # and none of the codes it hands over
+        assert {c[0] for c in decoded} == {chr(62 + n)}
+        # a cached level decodes each of its codes once, for the predicate
+        _connected_codes(n)
+        decoded.clear()
+        assert class_codes(n, predicate) == want
+        assert len(decoded) == CONNECTED_CLASS_COUNTS[n]
 
 
 def test_filtered_call_decodes_each_cached_code_once(cold_level_cache, monkeypatch):

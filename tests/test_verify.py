@@ -1,12 +1,15 @@
 """Sweep harness behavior: classification verdicts, reports, serialization."""
 
+import concurrent.futures
 import csv
+import gc
 import gzip
 import hashlib
 import io
 import json
 import math
 import os
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -39,6 +42,8 @@ from algconn.verify import (
     report_to_json,
     verify_theorem_1,
     verify_theorem_2,
+    write_csv,
+    write_json,
 )
 
 
@@ -173,6 +178,26 @@ def test_sweep_parallel_matches_serial():
     serial = verify_theorem_1(5)
     parallel = verify_theorem_1(5, jobs=2)
     assert parallel.rows == serial.rows
+
+
+def test_sweep_pool_sends_bounded_chunks(t1_small, monkeypatch, tmp_path):
+    # the chunk size is fixed, not a share of the sweep, and neither the
+    # rows nor the checkpoint's order depend on it
+    monkeypatch.setattr(verify, "CHUNK_ROWS", 5)
+    pool_map, sizes = concurrent.futures.ProcessPoolExecutor.map, []
+
+    def recorded(self, fn, *iterables, chunksize=1, **kwargs):
+        sizes.append(chunksize)
+        return pool_map(self, fn, *iterables, chunksize=chunksize, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "map", recorded)
+    cp = tmp_path / "sweep6.jsonl"
+    report = verify_theorem_1(6, jobs=2, checkpoint=str(cp))
+    assert sizes == [5]
+    assert report.rows == t1_small[6].rows
+    assert [json.loads(line)["code"] for line in cp.read_text().splitlines()] == [
+        r.code for r in report.rows
+    ]
 
 
 def test_sweep_checkpoint_resume(tmp_path):
@@ -385,7 +410,9 @@ def test_sweep_jobs_validated_before_pool(monkeypatch, jobs):
     def no_pool(*args, **kwargs):
         raise AssertionError("process pool constructed")
 
-    monkeypatch.setattr(verify.concurrent.futures, "ProcessPoolExecutor", no_pool)
+    # verify imports concurrent.futures only for a pool, and looks the
+    # executor up on the module then
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     with pytest.raises(VerificationError, match=f"got {jobs}"):
         verify_theorem_1(4, jobs=jobs)
 
@@ -407,12 +434,12 @@ def test_sweep_raises_when_equality_member_lands_in_band(monkeypatch):
 def test_sweep_raises_when_equality_class_missing(monkeypatch):
     # a sweep that never meets the cycle's class must name it as missing
     cycle = canonical_form(cycle_graph(5))
-    enumerate_all = verify.enumerate_graphs
+    codes_all = verify.class_codes
 
     def without_cycle(n, predicate):
-        return (g for g in enumerate_all(n, predicate) if g.to_graph6() != cycle)
+        return tuple(c for c in codes_all(n, predicate) if c != cycle)
 
-    monkeypatch.setattr(verify, "enumerate_graphs", without_cycle)
+    monkeypatch.setattr(verify, "class_codes", without_cycle)
     with pytest.raises(VerificationError) as info:
         verify_theorem_1(5)
     assert str(info.value) == f"equality set mismatch at n = 5: missing {[cycle]}"
@@ -634,6 +661,87 @@ def test_json_schema_and_determinism(t1_small):
     b = report_to_dict(fresh)
     a.pop("runtime"), b.pop("runtime")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# streamed writers: the bytes of the whole-string dumps, a block at a time
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def t2_24():
+    return verify_theorem_2(24)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_json_writer_is_dumps_of_the_report(t1_reports, n):
+    report = t1_reports[n]
+    want = json.dumps(report_to_dict(report), indent=2, sort_keys=True)
+    buf = io.StringIO()
+    write_json(report, buf)
+    assert buf.getvalue() == want + "\n"
+    assert report_to_json(report) == want
+
+
+@pytest.mark.parametrize("n_max", [4, 12, 24])
+def test_json_writer_is_dumps_of_the_report_list(t2_24, n_max):
+    # the reports of verify_theorem_2(n_max), orders 4..n_max
+    reports = t2_24[: n_max - 3]
+    assert reports[-1].n == n_max
+    want = json.dumps([report_to_dict(r) for r in reports], indent=2, sort_keys=True)
+    first, second = io.StringIO(), io.StringIO()
+    write_json(reports, first, second)
+    assert first.getvalue() == second.getvalue() == want + "\n"
+
+
+# sha256 of `verify t1 --n 7 --csv` and `verify t2 --n-max 24 --csv`,
+# taken when the CSV was built in a StringIO and then written whole
+CSV_DIGESTS = {
+    "t1": "bc5fe2b6aa49bc4cd61b233e8fefb46daecdf0739686b6fd3a690b15dea6b9a7",
+    "t2": "572f36f8d5a3c7f434ad65434876a5469507a10b6cd3efc8d4821b6d129e763a",
+}
+
+
+@pytest.mark.parametrize("theorem", ["t1", "t2"])
+def test_csv_writer_bytes_pinned(t1_reports, t2_24, tmp_path, theorem):
+    reports = [t1_reports[7]] if theorem == "t1" else t2_24
+    path = tmp_path / "r.csv"
+    with open(path, "w", encoding="ascii") as fh:
+        write_csv(reports, fh)
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == CSV_DIGESTS[theorem]
+    assert data.decode("ascii") == report_to_csv(reports)
+
+
+class _CharCount:
+    """A sink that keeps only how many characters reached it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+
+def _json_writer_peak(reports):
+    sink = _CharCount()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        write_json(reports, sink)
+        return tracemalloc.get_traced_memory()[1], sink.size
+    finally:
+        tracemalloc.stop()
+
+
+def test_json_writer_heap_does_not_grow_with_rows(t2_24):
+    # --n-max 12 has 56 rows and --n-max 24 has 435; the writer holds one
+    # block and one row at a time, where a whole-string dump of the 435
+    # rows peaks at several times its own length
+    small, small_size = _json_writer_peak(t2_24[:9])
+    big, big_size = _json_writer_peak(t2_24)
+    assert big_size > 7 * small_size
+    assert big < 1.5 * small
 
 
 # ---------------------------------------------------------------------------
