@@ -33,6 +33,14 @@ non-neighbours first, the second's when each of those two blocks lists
 the second's non-neighbours first, and so on. Any order within a final
 cell gives the same string.
 
+Each unplaced vertex keeps its column as one int, and the search keeps
+the cells with their offsets: a column's bits over S are its top |S|
+bits, one block per cell, and a cell's block holds the vertex's
+neighbours in the cell as its low bits. Placing a vertex shifts every
+column left by one bit and appends its bit for that vertex. A cell that
+splits rewrites only its own block, as the two blocks of its parts; no
+other bit of any column changes.
+
 In both phases, of twins u, v (N(u) - {v} equal to N(v) - {u}) only one
 arrangement is tried, since swapping them is an automorphism: phase (a)
 adds v only while its smaller twins are in S, and phase (b) places v only
@@ -61,7 +69,12 @@ def canonical_form(g: Graph) -> str:
         raise OrderLimitError(
             f"canonical form is exhaustive and capped at n = {ORDER_LIMIT}, got n = {g.n}"
         )
-    return graph6_from_int(g.n, canon_min_bits(g._rows))
+    return _canonical_code(g._rows)
+
+
+def _canonical_code(rows) -> str:
+    """canonical_form of the graph with these adjacency rows, n <= ORDER_LIMIT."""
+    return graph6_from_int(len(rows), canon_min_bits(rows))
 
 
 def degree_profile(g: Graph) -> tuple[int, ...]:
@@ -140,24 +153,37 @@ def _search(rows, best, leaves) -> list[int]:
     """
     n = len(rows)
     # twins[v]: the twins of v with smaller labels; swapping v with one of
-    # them is an automorphism, so only one of each arrangement is tried
-    twins = [0] * n
-    for v in range(n):
-        for u in range(v):
-            if (rows[u] ^ rows[v]) & ~(1 << u | 1 << v) == 0:
-                twins[v] |= 1 << u
+    # them is an automorphism, so only one of each arrangement is tried.
+    # Non-adjacent twins have equal rows, adjacent ones equal rows once
+    # each row holds its own vertex.
+    twins = []
+    apart: dict[int, int] = {}
+    joined: dict[int, int] = {}
+    for v, row in enumerate(rows):
+        bit = 1 << v
+        closed = row | bit
+        a = apart.get(row, 0)
+        j = joined.get(closed, 0)
+        twins.append(a | j)
+        apart[row] = a | bit
+        joined[closed] = j | bit
     full = (1 << n) - 1
     sets: list[int] = []
     _choose(rows, twins, full, 0, 0, full, sets)
     placed = None if leaves is None else []
     for s in sets:
-        rest = [v for v in range(n) if not s >> v & 1]
-        cols = [_over_s([s], rows[v]) for v in rest]
+        # one cell: each column's bits over S are its neighbours in S
+        rest = []
+        cols = []
+        for v, row in enumerate(rows):
+            if not s >> v & 1:
+                rest.append(v)
+                cols.append((1 << (row & s).bit_count()) - 1)
         size = s.bit_count()
         # S's zero columns already beat a seed with a nonzero column among
         # its first |S|, which only a string that is not minimal has
         less = any(best[:size])
-        _extend(rows, twins, rest, cols, full ^ s, [s], [0] * size, best, less, placed, leaves)
+        _extend(rows, twins, rest, cols, full ^ s, [(s, size)], [0] * size, best, less, placed, leaves)
     return twins
 
 
@@ -196,11 +222,14 @@ def _extend(rows, twins, rest, cols, free, cells, path, best, less, placed, leav
     path holds the columns placed so far, the zero columns of S first; rest
     holds the unplaced vertices (free as a bitmask) and cols their next
     columns. cells is the ordered partition of S that the placed vertices
-    induce: a column's bits over S list each cell's non-neighbours before
-    its neighbours (_over_s), and placing a vertex splits every cell that
-    way. best holds the columns of the best complete string, and less says
-    path is already below it. leaves is None, or collects the vertex order
-    of every leaf that ties best: each cell's members ascending, then the
+    induce, as (cell, end) pairs: a column's bits over S are its leading
+    |S| bits, one block per cell, and a cell's block ends end bits below
+    the column's top. A block lists the cell's non-neighbours before its
+    neighbours, and placing a vertex splits every cell that way, which
+    rewrites the blocks of the cells that split and no other bit. best
+    holds the columns of the best complete string, and less says path is
+    already below it. leaves is None, or collects the vertex order of
+    every leaf that ties best: each cell's members ascending, then the
     vertices in placed, which this search keeps only then.
     """
     if not rest:
@@ -208,7 +237,8 @@ def _extend(rows, twins, rest, cols, free, cells, path, best, less, placed, leav
             best[:] = path
             return True
         if leaves is not None:
-            leaves.append(tuple(v for c in cells for v in range(c.bit_length()) if c >> v & 1) + tuple(placed))
+            order = [v for c, _ in cells for v in range(c.bit_length()) if c >> v & 1]
+            leaves.append(tuple(order + placed))
         return False
     m = min(cols)
     if best and not less:
@@ -216,6 +246,7 @@ def _extend(rows, twins, rest, cols, free, cells, path, best, less, placed, leav
             return False
         less = m < best[len(path)]
     path.append(m)
+    width = len(path)  # the bits of each column at the next position
     improved = False
     for i, col in enumerate(cols):
         if col != m:
@@ -224,14 +255,34 @@ def _extend(rows, twins, rest, cols, free, cells, path, best, less, placed, leav
         if twins[v] & free:
             continue
         row = rows[v]
-        nrest = rest[:i] + rest[i + 1 :]
-        ncols = [c << 1 | row >> u & 1 for u, c in zip(nrest, cols[:i] + cols[i + 1 :])]
-        ncells = [part for c in cells for part in (c & ~row, c & row) if part]
-        if len(ncells) > len(cells):
-            # v split a cell, which reorders the columns' bits over S; their
-            # k low bits, over the vertices placed after S, stay
-            k = len(path) - sum(c.bit_count() for c in cells)
-            ncols = [_over_s(ncells, rows[u]) << k | c & (1 << k) - 1 for u, c in zip(nrest, ncols)]
+        # loops, not comprehensions: the lists are short, and a
+        # comprehension costs a function call
+        nrest = []
+        ncols = []
+        for u, c in zip(rest, cols):
+            if u != v:
+                nrest.append(u)
+                ncols.append(c << 1 | row >> u & 1)
+        ncells = cells
+        for j, (c, end) in enumerate(cells):
+            ones = c & row
+            if not ones or ones == c:
+                if ncells is not cells:
+                    ncells.append((c, end))
+                continue
+            # v splits c into its non-neighbours, then its neighbours:
+            # rewrite the block of c, which sits width - end bits up
+            if ncells is cells:
+                ncells = cells[:j]
+            others = c ^ ones
+            low = ones.bit_count()
+            at = width - end
+            keep = ~((1 << c.bit_count()) - 1 << at)
+            for k, u in enumerate(nrest):
+                ru = rows[u]
+                block = (1 << (ru & others).bit_count()) - 1 << low | (1 << (ru & ones).bit_count()) - 1
+                ncols[k] = ncols[k] & keep | block << at
+            ncells += ((others, end - low), (ones, end))
         if placed is not None:
             placed.append(v)
         if _extend(rows, twins, nrest, ncols, free ^ 1 << v, ncells, path, best, less, placed, leaves):
@@ -242,11 +293,3 @@ def _extend(rows, twins, rest, cols, free, cells, path, best, less, placed, leav
             placed.pop()
     path.pop()
     return improved
-
-
-def _over_s(cells, row) -> int:
-    """The bits over S of a column: each cell's non-neighbours, then its neighbours."""
-    head = 0
-    for c in cells:
-        head = head << c.bit_count() | (1 << (c & row).bit_count()) - 1
-    return head

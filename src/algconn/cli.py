@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Graphs are accepted as graph6 strings or edge-list text ("n; u-v, u-v").
-Exit codes: 0 success, 1 computation or verification failure, 2 usage.
+Exit codes: 0 success, 1 computation or verification failure, or stdout
+closed by its reader (no traceback), 2 usage.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import random
 import sys
 
@@ -152,6 +154,11 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except AlgConnError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout (say, `| head`): point stdout at devnull,
+        # so that the interpreter's flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -20,6 +20,11 @@ each step, the lowest edge arc that carries flow. Every tie therefore
 goes to the lowest vertex, and path systems are deterministic.
 Hamiltonian cycles (n <= 12) come from a plain-Python depth-first search
 over a visited bitmask that branches on low-degree neighbors first.
+
+The flow, its path decomposition and the Hamiltonian search each have one
+internal entry over adjacency rows (_split_flow, _disjoint_paths,
+_hamiltonian_cycle); the public functions check their arguments and call
+it, and a sweep row calls it directly.
 """
 
 from __future__ import annotations
@@ -108,18 +113,23 @@ def _cut_mask(rows) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-def _split_flow(g: Graph, s: int, t: int) -> tuple[int, list[int]]:
-    """Maximum s_out -> t_in flow by breadth-first augmentation.
+def _check_pair(g: Graph, s, t) -> tuple[int, int]:
+    """s and t as ints, if they are two distinct integer vertices of g."""
+    if not all(isinstance(v, (int, np.integer)) and 0 <= v < g.n for v in (s, t)) or s == t:
+        raise VertexSetError(f"need two distinct vertices in range, got {s!r}, {t!r}")
+    return int(s), int(t)
+
+
+def _split_flow(rows, s: int, t: int) -> tuple[int, list[int]]:
+    """Maximum s_out -> t_in flow by breadth-first augmentation, between
+    two distinct vertices of the graph with these adjacency rows.
 
     Returns the flow value and the final out masks. The split arcs of s
     and t are never used, so their capacity is immaterial: s_out is the
     source, and the search stops as soon as it reaches t_in.
     """
-    n = g.n
-    if not all(isinstance(v, (int, np.integer)) and 0 <= v < n for v in (s, t)) or s == t:
-        raise VertexSetError(f"need two distinct vertices in range, got {s!r}, {t!r}")
-    s, t = int(s), int(t)
-    out = list(g._rows)
+    n = len(rows)
+    out = list(rows)
     back = [1 << v for v in range(n)]
     prev_in = [0] * n  # prev_in[u] = v: u_in was reached from v_out
     prev_out = [0] * n  # prev_out[v] = u: v_out was reached from u_in
@@ -167,7 +177,7 @@ def _split_flow(g: Graph, s: int, t: int) -> tuple[int, list[int]]:
 
 def local_connectivity(g: Graph, s: int, t: int) -> int:
     """Maximum number of internally disjoint s-t paths (Menger)."""
-    return _split_flow(g, s, t)[0]
+    return _split_flow(g._rows, *_check_pair(g, s, t))[0]
 
 
 @dataclass(frozen=True)
@@ -193,11 +203,16 @@ def inner_disjoint_paths(g: Graph, s: int, t: int, k: int | None = None) -> Path
     """
     if k is not None and not (isinstance(k, (int, np.integer)) and k >= 1):
         raise GraphError(f"k must be an integer of at least 1, got {k!r}")
-    total, out = _split_flow(g, s, t)
+    s, t = _check_pair(g, s, t)
+    return PathSystem(s=s, t=t, paths=_disjoint_paths(g._rows, s, t, k))
+
+
+def _disjoint_paths(rows, s: int, t: int, k: int | None) -> tuple[tuple[int, ...], ...]:
+    """The paths of inner_disjoint_paths, sorted, between two distinct
+    vertices of the graph with these adjacency rows."""
+    total, out = _split_flow(rows, s, t)
     if k is not None and total < k:
         raise GraphError(f"only {total} internally disjoint {s}-{t} paths exist, need {k}")
-    s, t = int(s), int(t)
-    rows = g._rows
     paths = []
     for _ in range(total if k is None else k):
         path = [s]
@@ -213,7 +228,7 @@ def inner_disjoint_paths(g: Graph, s: int, t: int, k: int | None = None) -> Path
             path.append(low.bit_length() - 1)
         paths.append(tuple(path))
     paths.sort()
-    return PathSystem(s=s, t=t, paths=tuple(paths))
+    return tuple(paths)
 
 
 # ---------------------------------------------------------------------------
@@ -252,18 +267,24 @@ def hamiltonian_cycle(g: Graph) -> tuple[int, ...] | None:
     by (degree, label); the first cycle found under that order is
     returned, so output is deterministic.
     """
-    n = g.n
-    if n > HAMILTONIAN_ORDER_LIMIT:
+    if g.n > HAMILTONIAN_ORDER_LIMIT:
         raise OrderLimitError(
             f"Hamiltonian search is backtracking and capped at n = "
-            f"{HAMILTONIAN_ORDER_LIMIT}, got n = {n}"
+            f"{HAMILTONIAN_ORDER_LIMIT}, got n = {g.n}"
         )
-    deg = g.degrees()
+    return _hamiltonian_cycle(g._rows)
+
+
+def _hamiltonian_cycle(rows) -> tuple[int, ...] | None:
+    """hamiltonian_cycle of the graph with these adjacency rows."""
+    n = len(rows)
+    deg = [r.bit_count() for r in rows]
     if n < 3 or min(deg) < 2:
         return None
-    # sorted once by (degree, label); each neighbour list keeps that order
-    order = sorted(range(n), key=lambda u: (deg[u], u))
-    nbrs = [[u for u in order if row >> u & 1] for row in g._rows]
+    # sorted once by (degree, label), as the sort is stable; each
+    # neighbour list keeps that order
+    order = sorted(range(n), key=deg.__getitem__)
+    nbrs = [[u for u in order if row >> u & 1] for row in rows]
     path = [0]
     return tuple(path) if _extend_path(nbrs, path, 1, (1 << n) - 1) else None
 

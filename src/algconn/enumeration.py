@@ -9,8 +9,12 @@ exhaustive generation", J. Algorithms 26, 1998): the new vertex must be
 a candidate for the vertex to delete. With f(v) = (degree of v, sorted
 degrees of v's neighbours), a child is rejected when some vertex v != k
 has f(v) > f(k) and the child minus v is still connected; every other
-child, ties included, is accepted. The test reads the child's bitmask
-rows and builds no Graph.
+child, ties included, is accepted. A child stays as its bitmask rows
+until it is accepted, and after: the parent is decoded from graph6 to
+rows, the child's rows are built once, and the acceptance test and the
+canonical form read them. No edge list, edge set or validated Graph is
+built for a child; a predicate gets a Graph that wraps the same rows
+(graphs._graph_from_rows) and builds its edge set only if asked.
 
 Completeness: every connected graph G on n vertices has a non-cut
 vertex, so let v* maximize f among its non-cut vertices. G - v* is
@@ -51,10 +55,10 @@ from __future__ import annotations
 import random
 from typing import Callable, Iterator
 
-from .canon import automorphism_generators, canonical_form
+from .canon import _canonical_code, automorphism_generators
 from .connectivity import connected_within
 from .errors import OrderLimitError, as_index
-from .graphs import Graph, graph_from_graph6
+from .graphs import Graph, _graph_from_rows, _rows_from_graph6, graph_from_graph6
 
 ENUMERATION_LIMIT = 9
 
@@ -77,8 +81,8 @@ def _connected_codes(
     if cacheable and n in _level_cache:
         return _level_cache[n]
     if n == 1:
-        g = Graph(1, frozenset())
-        return (canonical_form(g),) if predicate is None or predicate(g) else ()
+        rows = (0,)
+        return (_canonical_code(rows),) if predicate is None or predicate(_graph_from_rows(rows)) else ()
     base = list(_connected_codes(n - 1, rng))
     if rng is not None:
         rng.shuffle(base)
@@ -86,20 +90,18 @@ def _connected_codes(
     k = n - 1
     masks = list(range(1, 1 << k))
     for code in base:
-        g = graph_from_graph6(code)
+        parent = _rows_from_graph6(code)
         if rng is not None:
             rng.shuffle(masks)
-        gens = automorphism_generators(g._rows)
+        gens = automorphism_generators(parent)
         for mask in _orbit_minima(masks, gens, k) if gens else masks:
-            if not _k_may_be_deleted(g._rows, mask):
+            # the child's rows: parent + vertex k joined to mask
+            rows = [r | (mask >> u & 1) << k for u, r in enumerate(parent)]
+            rows.append(mask)
+            if not _k_may_be_deleted(rows):
                 continue
-            pairs = list(g.edges)
-            for u in range(k):
-                if mask >> u & 1:
-                    pairs.append((u, k))
-            child = Graph(n, frozenset(pairs))
-            if predicate is None or predicate(child):
-                out.add(canonical_form(child))
+            if predicate is None or predicate(_graph_from_rows(rows)):
+                out.add(_canonical_code(rows))
     codes = tuple(sorted(out))
     if cacheable:
         _level_cache[n] = codes
@@ -112,11 +114,12 @@ def _orbit_minima(masks: list[int], gens: list[tuple[int, ...]], k: int) -> list
     does not depend on that order."""
     tables = []
     for perm in gens:
-        # the image of a mask is its lowest bit's image joined to the rest's
-        table = [0] * (1 << k)
-        for mask in range(1, 1 << k):
-            low = mask & -mask
-            table[mask] = table[mask ^ low] | 1 << perm[low.bit_length() - 1]
+        # the image of a mask whose top bit is b: the image of the mask
+        # without b, joined to b's image
+        table = [0]
+        for b in range(k):
+            image = 1 << perm[b]
+            table += [t | image for t in table]
         tables.append(table)
     seen = bytearray(1 << k)
     out = []
@@ -135,17 +138,15 @@ def _orbit_minima(masks: list[int], gens: list[tuple[int, ...]], k: int) -> list
     return out
 
 
-def _k_may_be_deleted(parent_rows: tuple[int, ...], mask: int) -> bool:
-    """Acceptance test for parent + vertex k joined to mask (k = n-1).
+def _k_may_be_deleted(rows: list[int]) -> bool:
+    """Acceptance test for a child's rows, k = n-1 the new vertex.
 
     False when some other vertex v has f(v) > f(k), with f(v) the degree
     of v and the sorted degrees of its neighbours, and the child minus v
     is still connected: then k is not the vertex canonical augmentation
     deletes, and the child's class is built from another parent.
     """
-    k = len(parent_rows)
-    rows = [r | (mask >> u & 1) << k for u, r in enumerate(parent_rows)]
-    rows.append(mask)
+    k = len(rows) - 1
     everyone = (1 << k + 1) - 1
     deg = [r.bit_count() for r in rows]
     dk = deg[k]

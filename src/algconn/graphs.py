@@ -2,13 +2,17 @@
 
 Adjacency is stored both as a frozenset of sorted edge pairs (hashable,
 order-free) and as int bitmask rows for fast neighborhood tests. Every
-construction checks each edge once; a pair that is already normalized
-(two ints, u < v < n) costs one chained comparison, and any other pair
-goes through the full check. Two text forms are supported: graph6 (the
-compact ASCII format, n <= 62 here) and a human-readable edge list
-``"n; u-v, u-v, .."``. graph6 text has one packer, graph6_from_int: the
-upper-triangle bit string is one int, and base64 cuts it into the 6-bit
-groups, its alphabet mapped onto graph6's by one translation table.
+construction from pairs checks each edge once; a pair that is already
+normalized (two ints, u < v < n) costs one chained comparison, and any
+other pair goes through the full check. Rows that are valid by
+construction (a graph6 decode, a level child) become a Graph through
+_graph_from_rows, which checks nothing and builds the edge set on first
+use. Two text forms are supported: graph6 (the compact ASCII format,
+n <= 62 here) and a human-readable edge list ``"n; u-v, u-v, .."``.
+graph6 text has one packer, graph6_from_int: the upper-triangle bit
+string is one int, and base64 cuts it into the 6-bit groups, its
+alphabet mapped onto graph6's by one translation table. The decoder,
+_rows_from_graph6, runs the same table backwards.
 """
 
 from __future__ import annotations
@@ -72,6 +76,15 @@ class Graph:
         object.__setattr__(self, "edges", frozenset(pairs))
         object.__setattr__(self, "_rows", tuple(rows))
 
+    def __getattr__(self, name):
+        # only a graph built by _graph_from_rows lacks an edge set, and it
+        # builds it from its rows on first use
+        if name != "edges" or "_rows" not in self.__dict__:
+            raise AttributeError(name)
+        edges = frozenset(_edge_pairs(self._rows))
+        object.__setattr__(self, "edges", edges)
+        return edges
+
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -118,11 +131,7 @@ class Graph:
         return Graph(self.n, self.edges - {(u, v)})
 
     def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.int64)
-        for u, v in self.edges:
-            a[u, v] = 1
-            a[v, u] = 1
-        return a
+        return _adjacency(self._rows).astype(np.int64)
 
     def laplacian(self) -> np.ndarray:
         """Degree-minus-adjacency matrix, exact int64 entries."""
@@ -138,6 +147,36 @@ class Graph:
 
     def __str__(self) -> str:
         return self.to_edge_text()
+
+
+def _graph_from_rows(rows) -> Graph:
+    """The Graph of adjacency rows known to be valid (each edge in both of
+    its rows, no loops), without the per-pair checks; its edge set is
+    built on first use."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", len(rows))
+    object.__setattr__(g, "_rows", tuple(rows))
+    return g
+
+
+def _edge_pairs(rows) -> list[tuple[int, int]]:
+    """The edges of adjacency rows as (u, v) pairs, u < v, sorted."""
+    pairs = []
+    for u, row in enumerate(rows):
+        above = row >> u + 1
+        while above:
+            low = above & -above
+            pairs.append((u, u + low.bit_length()))
+            above ^= low
+    return pairs
+
+
+def _adjacency(rows) -> np.ndarray:
+    """The 0/1 adjacency matrix of adjacency rows, as uint8."""
+    n = len(rows)
+    width = (n + 7) >> 3
+    packed = np.frombuffer(b"".join([r.to_bytes(width, "little") for r in rows]), np.uint8)
+    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
 
 
 def graph_from_edges(n: int, pairs) -> Graph:
@@ -180,7 +219,9 @@ def path_graph(n: int) -> Graph:
 # base64 and graph6 both cut a big-endian bit string into 6-bit groups;
 # base64 spells group value i as _B64[i], graph6 as chr(63 + i)
 _B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-_B64_TO_GRAPH6 = bytes.maketrans(_B64, bytes(range(63, 127)))
+_GRAPH6_CHARS = bytes(range(63, 127))
+_B64_TO_GRAPH6 = bytes.maketrans(_B64, _GRAPH6_CHARS)
+_GRAPH6_TO_B64 = bytes.maketrans(_GRAPH6_CHARS, _B64)
 
 
 def graph6_from_int(n: int, bits: int) -> str:
@@ -209,6 +250,13 @@ def graph_to_graph6(g: Graph) -> str:
 
 def graph_from_graph6(text: str) -> Graph:
     """Decode a graph6 string; validates length, charset, and zero padding."""
+    return _graph_from_rows(_rows_from_graph6(text))
+
+
+def _rows_from_graph6(text: str) -> tuple[int, ...]:
+    """The adjacency rows of a graph6 string, validated as graph_from_graph6
+    says. base64 joins the 6-bit groups into one upper-triangle bit string,
+    graph6's alphabet mapped back onto its own, as graph6_from_int packs it."""
     s = text.strip()
     if s.startswith(GRAPH6_HEADER):
         s = s[len(GRAPH6_HEADER):]
@@ -218,9 +266,9 @@ def graph_from_graph6(text: str) -> Graph:
         data = s.encode("ascii")
     except UnicodeEncodeError:
         raise Graph6Error(f"non-ASCII character in graph6 string {text!r}") from None
-    for ch in data:
-        if not 63 <= ch <= 126:
-            raise Graph6Error(f"character {chr(ch)!r} outside graph6 range in {text!r}")
+    bad = data.translate(None, _GRAPH6_CHARS)
+    if bad:
+        raise Graph6Error(f"character {chr(bad[0])!r} outside graph6 range in {text!r}")
     n = data[0] - 63
     if n == 63:
         raise Graph6Error("multi-byte graph6 sizes (n > 62) are not supported here")
@@ -231,19 +279,29 @@ def graph_from_graph6(text: str) -> Graph:
         raise Graph6Error(
             f"graph6 body for n = {n} needs {want} characters, got {len(body)}"
         )
-    pairs = []
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            byte = body[idx // 6] - 63
-            if byte >> (5 - idx % 6) & 1:
-                pairs.append((u, v))
-            idx += 1
-    if want:
-        pad = body[-1] - 63 & (1 << (want * 6 - nbits)) - 1
-        if pad:
-            raise Graph6Error(f"nonzero padding bits in graph6 string {text!r}")
-    return graph_from_edges(n, pairs)
+    rows = [0] * n
+    if not want:
+        return tuple(rows)
+    # zero groups fill the last 24-bit base64 quantum
+    quanta = (want + 3) // 4
+    text64 = body.translate(_GRAPH6_TO_B64) + b"A" * (4 * quanta - want)
+    bits = int.from_bytes(base64.b64decode(text64), "big") >> 24 * quanta - 6 * want
+    pad = 6 * want - nbits
+    if bits & (1 << pad) - 1:
+        raise Graph6Error(f"nonzero padding bits in graph6 string {text!r}")
+    bits >>= pad
+    # the string's last column is its lowest bits; bit u of column v's
+    # v bits, counted from the top, is the pair (u, v)
+    for v in range(n - 1, 0, -1):
+        col = bits & (1 << v) - 1
+        bits >>= v
+        while col:
+            low = col & -col
+            u = v - low.bit_length()
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            col ^= low
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,12 @@ rewire validates its input: n >= 4, a biconnected graph, a vector of
 length n, and an eigenpair residual it measures on its own Laplacian.
 The construction and every check on it (the partition, the telescoping
 inequality, the quadratic-form chain, the spanning cycle) live in one
-internal entry, _rewire, which rewire calls before it builds the
-certificate. A sweep row calls _rewire directly: its graph is biconnected
-with n >= 4 by construction, and fiedler_vector has measured the same
-residual on the same Laplacian. It builds no certificate and no Graph
-for G', which _rewire keeps as its vertex sequence.
+internal entry, _rewire, which takes the graph's adjacency rows and
+which rewire calls before it builds the certificate. A sweep row calls
+_rewire directly: its graph is biconnected with n >= 4 by construction,
+and the Fiedler solve has measured the same residual on the same
+Laplacian. It builds no certificate and no Graph for G', which _rewire
+keeps as its vertex sequence.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .connectivity import hamiltonian_cycle, inner_disjoint_paths, is_biconnected
+from .connectivity import _disjoint_paths, hamiltonian_cycle, is_biconnected
 from .errors import GraphError, RewireDefectError
-from .graphs import Graph
-from .spectra import FiedlerResult, alpha_cycle_closed_form, fiedler_vector, quadratic_form
+from .graphs import Graph, _edge_pairs
+from .spectra import FiedlerResult, _laplacian, alpha_cycle_closed_form, fiedler_vector, quadratic_form
 
 CHAIN_REL_TOL = 1e-15
 Q_CHAIN_SLACK = 1e-12
@@ -46,8 +47,8 @@ def extreme_vertices(x) -> tuple[int, int]:
     vec = np.asarray(x, dtype=np.float64)
     if vec.size < 2:
         raise GraphError("extreme vertices need at least two coordinates")
-    v_min = int(np.argmin(vec))
-    v_max = int(np.argmax(vec))
+    v_min = int(vec.argmin())
+    v_max = int(vec.argmax())
     if vec[v_min] == vec[v_max]:
         raise GraphError("constant vector has no extreme pair")
     return v_min, v_max
@@ -137,11 +138,11 @@ def rewire(g: Graph, f: FiedlerResult) -> RewireCertificate:
     x = np.asarray(f.vector, dtype=np.float64)
     if x.shape != (g.n,):
         raise GraphError("Fiedler vector length does not match the graph")
-    lap = g.laplacian().astype(np.float64)
+    lap = _laplacian(g._rows)
     # inf or NaN input leaves a NaN residual, which _rewire rejects
     with np.errstate(invalid="ignore"):
         resid = float(np.max(np.abs(lap @ x - f.alpha * x)))
-    r = _rewire(g, x, resid)
+    r = _rewire(g._rows, x, resid)
     return RewireCertificate(
         v_min=r.v_min,
         v_max=r.v_max,
@@ -172,23 +173,24 @@ class _Rewired(NamedTuple):
     q_gprime: float
 
 
-def _rewire(g: Graph, x: np.ndarray, residual: float) -> _Rewired:
-    """The rewiring of g under the Fiedler vector x, with every check on it.
+def _rewire(rows, x: np.ndarray, residual: float) -> _Rewired:
+    """The rewiring of the graph with these adjacency rows under the
+    Fiedler vector x, with every check on it.
 
-    residual is max |L x - alpha x| over g's Laplacian L. The caller has
-    established the rest of rewire's input checks: n >= 4, g biconnected,
-    and x of length n (module docstring). G' is kept as its vertex
-    sequence: _cycle_pairs refuses a repeated vertex, so the sequence is
-    one spanning cycle exactly when it has n vertices.
+    residual is max |L x - alpha x| over the graph's Laplacian L. The
+    caller has established the rest of rewire's input checks: n >= 4, a
+    biconnected graph, and x of length n (module docstring). G' is kept as
+    its vertex sequence: _cycle_pairs refuses a repeated vertex, so the
+    sequence is one spanning cycle exactly when it has n vertices.
     """
     # NaN fails every comparison, so the check is written to reject it
     if not residual <= 1e-6:
         raise GraphError("vector/alpha pair is not an eigenpair of this graph")
     v_min, v_max = extreme_vertices(x)
-    ps = inner_disjoint_paths(g, v_min, v_max, 2)
-    p1, p2 = ps.paths[0], ps.paths[1]  # sorted order: p1 has the smaller second vertex
+    n = len(rows)
+    p1, p2 = _disjoint_paths(rows, v_min, v_max, 2)  # sorted: p1 has the smaller second vertex
     cycle = p1 + tuple(reversed(p2[1:-1]))
-    offcycle = sorted(set(range(g.n)) - set(cycle))
+    offcycle = sorted(set(range(n)) - set(cycle))
 
     lists = interval_assignment(p1, offcycle, x)
     flat = sorted(v for lst in lists for v in lst)
@@ -210,7 +212,7 @@ def _rewire(g: Graph, x: np.ndarray, residual: float) -> _Rewired:
     seq = _thread(cycle, p1, lists, xs)
     pairs = _cycle_pairs(seq)
 
-    q_g = quadratic_form(g.edge_list, xs)
+    q_g = quadratic_form(_edge_pairs(rows), xs)
     q_c = quadratic_form(_cycle_pairs(cycle), xs)
     q_gp = quadratic_form(pairs, xs)
     if not (q_gp <= q_c + Q_CHAIN_SLACK and q_c <= q_g + Q_CHAIN_SLACK):
@@ -220,7 +222,7 @@ def _rewire(g: Graph, x: np.ndarray, residual: float) -> _Rewired:
         )
     # a cycle through all n vertices, none repeated, is the graph whose
     # alpha the closed form gives
-    if len(seq) != g.n:
+    if len(seq) != n:
         raise RewireDefectError("rewired graph is not a single spanning cycle")
     return _Rewired(v_min, v_max, cycle, p1, p2, lists, pairs, q_g, q_c, q_gp)
 

@@ -10,7 +10,10 @@ eigen_symmetric validates an arbitrary matrix (square, finite, symmetric
 to roundoff) before the solve and reports the all-pairs residual after.
 fiedler_vector solves a graph's exact integer Laplacian directly: such a
 matrix passes every one of those checks by construction, so it skips them
-and reports only the residual of the Fiedler pair.
+and reports only the residual of the Fiedler pair. The Laplacian is built
+from the graph's bitmask rows (_laplacian), and the solve after
+fiedler_vector's checks is its rows entry, _fiedler, which a sweep row
+calls directly.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .connectivity import is_connected
 from .errors import ConvergenceError, DisconnectedGraphError, GraphError
-from .graphs import Graph
+from .graphs import Graph, _adjacency
 
 
 @dataclass(frozen=True)
@@ -73,8 +76,16 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise err from exc
 
 
+def _laplacian(rows) -> np.ndarray:
+    """The float64 Laplacian of adjacency rows: g.laplacian() as floats,
+    each entry the same float (an off-diagonal zero is +0.0)."""
+    lap = (-_adjacency(rows).view(np.int8)).astype(np.float64)
+    lap.flat[:: len(rows) + 1] = [r.bit_count() for r in rows]
+    return lap
+
+
 def laplacian_spectrum(g: Graph) -> SpectralDecomposition:
-    return eigen_symmetric(g.laplacian().astype(np.float64))
+    return eigen_symmetric(_laplacian(g._rows))
 
 
 def algebraic_connectivity(g: Graph) -> float:
@@ -102,20 +113,26 @@ def fiedler_vector(g: Graph) -> FiedlerResult:
         raise DisconnectedGraphError(
             "Fiedler vector of a disconnected graph is ill-posed (alpha = 0)"
         )
+    return _fiedler(g._rows)
+
+
+def _fiedler(rows) -> FiedlerResult:
+    """fiedler_vector of the connected graph with these adjacency rows,
+    n >= 2, which the caller has established."""
     # integer entries: finite and exactly symmetric, so eigen_symmetric's
     # checks, symmetrizing copy and all-pairs residual would change nothing
-    lap = g.laplacian().astype(np.float64)
+    lap = _laplacian(rows)
     values, vectors = _eigh(lap)
     alpha = float(values[1])
-    tol = multiplicity_tolerance(g.n)
-    multiplicity = int(np.sum(np.abs(values - alpha) <= tol))
+    tol = multiplicity_tolerance(len(rows))
+    multiplicity = sum(1 for v in values.tolist() if abs(v - alpha) <= tol)
     vec = vectors[:, 1].copy()
     vec /= math.sqrt(float(vec @ vec))
     # sign convention: first coordinate of largest magnitude made positive
-    lead = int(np.argmax(np.abs(vec)))
+    lead = int(np.abs(vec).argmax())
     if vec[lead] < 0.0:
         vec = -vec
-    residual = float(np.max(np.abs(lap @ vec - alpha * vec)))
+    residual = float(np.abs(lap @ vec - alpha * vec).max())
     return FiedlerResult(alpha=alpha, vector=vec, multiplicity=multiplicity, residual=residual)
 
 

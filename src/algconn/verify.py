@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .canon import ORDER_LIMIT, canonical_form
-from .connectivity import hamiltonian_cycle, is_biconnected
+from .connectivity import _hamiltonian_cycle, is_biconnected
 from .enumeration import ENUMERATION_LIMIT, class_codes
 from .errors import AlgConnError, VerificationError, as_index
 from .families import (
@@ -52,9 +52,9 @@ from .families import (
     single_chord_spec_for_triple,
     theta_triples,
 )
-from .graphs import Graph, graph_from_graph6
+from .graphs import Graph, _rows_from_graph6
 from .rewiring import _rewire
-from .spectra import alpha_cycle_closed_form, fiedler_vector
+from .spectra import _fiedler, alpha_cycle_closed_form
 
 NOT_EXTREMAL = "not_extremal"
 
@@ -166,36 +166,39 @@ def _stage(stage: str, name: str):
 
 
 def _row(
-    g: Graph,
+    rows: tuple[int, ...],
     code: str,
     spec: FamilySpec | None,
     hamiltonian: bool,
     triple: tuple[int, int, int] | None = None,
     alpha: float | None = None,
 ) -> SweepRow:
-    """Fiedler vector, verdict and rewiring checks of one sweep graph.
+    """Fiedler vector, verdict and rewiring checks of one sweep graph,
+    given by its adjacency rows.
 
-    code is g's row key, spec the family member g is known to be (or
-    None), and triple g's path lengths when it is a theta graph. g is
+    code is the graph's row key, spec the family member it is known to be
+    (or None), and triple its path lengths when it is a theta graph. It is
     biconnected with n >= 4 by construction (the level filter, or the
-    theta construction), so the row runs the rewiring and its checks
-    through _rewire without rewire's input validation, with the residual
-    fiedler_vector measured on the same Laplacian, and builds no
-    certificate. A row resumed from a checkpoint passes its stored alpha:
-    the Fiedler solve and the rewiring ran when that row was written, so
-    only the verdict runs.
+    theta construction), so the row takes the Fiedler vector and the
+    rewiring with its checks through their rows entries, without
+    fiedler_vector's and rewire's input validation; _rewire checks the
+    residual the Fiedler solve measured on the same Laplacian, and no
+    certificate is built. A row resumed from a checkpoint passes its
+    stored alpha: the Fiedler solve and the rewiring ran when that row was
+    written, so only the verdict runs.
     """
+    n = len(rows)
     name = code if triple is None else f"theta{triple} ({code})"
     f = None
     if alpha is None:
         with _stage("fiedler_vector", name):
-            f = fiedler_vector(g)
+            f = _fiedler(rows)
         alpha = f.alpha
-    eq = _verdict(name, g.n, alpha, spec, hamiltonian)
+    eq = _verdict(name, n, alpha, spec, hamiltonian)
     if f is not None:
         with _stage("rewire", name):
-            _rewire(g, f.vector, f.residual)
-    return SweepRow(g.n, code, alpha, eq, hamiltonian, triple)
+            _rewire(rows, f.vector, f.residual)
+    return SweepRow(n, code, alpha, eq, hamiltonian, triple)
 
 
 def classify_equality(g: Graph) -> EqualityClass:
@@ -213,9 +216,9 @@ def classify_equality(g: Graph) -> EqualityClass:
 
 
 def _biconnected_row(code_g6: str, alpha: float | None = None) -> SweepRow:
-    g = graph_from_graph6(code_g6)
-    spec = _family_code_map(g.n).get(code_g6)
-    return _row(g, code_g6, spec, hamiltonian_cycle(g) is not None, alpha=alpha)
+    rows = _rows_from_graph6(code_g6)
+    spec = _family_code_map(len(rows)).get(code_g6)
+    return _row(rows, code_g6, spec, _hamiltonian_cycle(rows) is not None, alpha=alpha)
 
 
 def _load_checkpoint(path: str, n: int, codes: set[str]) -> dict[str, SweepRow]:
@@ -319,7 +322,7 @@ def _theta_row(triple: tuple[int, int, int]) -> SweepRow:
     spec = single_chord_spec_for_triple(triple)
     # a theta graph has a spanning cycle exactly when its third path is
     # a bare edge: any cycle in it is the union of two of the paths
-    return _row(g, code, spec, triple[0] == 1, triple)
+    return _row(g._rows, code, spec, triple[0] == 1, triple)
 
 
 def verify_theorem_2(n_max: int) -> list[VerificationReport]:

@@ -1,6 +1,7 @@
 import pytest
 
 from algconn import enumeration
+from algconn.graphs import _graph_from_rows
 from algconn.verify import verify_theorem_1
 
 
@@ -9,13 +10,14 @@ def canonical_calls(monkeypatch):
     """The graph6 text of each graph level construction canonicalizes, in
     call order; a level served from the cache adds nothing."""
     calls = []
-    canonical = enumeration.canonical_form
+    canonical = enumeration._canonical_code
 
-    def recorded(g):
-        calls.append(g.to_graph6())
-        return canonical(g)
+    def recorded(rows):
+        calls.append(_graph_from_rows(rows).to_graph6())
+        return canonical(rows)
 
-    monkeypatch.setattr(enumeration, "canonical_form", recorded)
+    # level construction canonicalizes each child on its adjacency rows
+    monkeypatch.setattr(enumeration, "_canonical_code", recorded)
     return calls
 
 

@@ -602,3 +602,21 @@ def per_bit_graph6(g: Graph) -> str:
     if nacc:
         out.append((acc << (6 - nacc)) + 63)
     return out.decode("ascii")
+
+
+def per_bit_graph6_rows(text: str) -> tuple[int, ...]:
+    """Adjacency rows of well-formed graph6 text, read one upper-triangle
+    bit at a time: bit 5 - i % 6 of character i // 6 of the body is pair
+    i in the order per_bit_graph6 writes."""
+    data = text.encode("ascii")
+    n = data[0] - 63
+    body = data[1:]
+    rows = [0] * n
+    i = 0
+    for v in range(1, n):
+        for u in range(v):
+            if body[i // 6] - 63 >> 5 - i % 6 & 1:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            i += 1
+    return tuple(rows)

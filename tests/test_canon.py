@@ -1,5 +1,6 @@
 """Canonical forms against the exhaustive-permutation oracle."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -9,7 +10,7 @@ import pytest
 
 import oracles
 from golden import DATA
-from algconn import canon
+from algconn import canon, enumeration
 from algconn.canon import canonical_form, degree_profile, is_isomorphic
 from algconn.errors import GraphError, OrderLimitError
 from algconn.families import FamilyKind, FamilySpec, realize, theta_triples
@@ -275,6 +276,46 @@ def test_automorphism_generators_need_canonical_labeling():
     assert canonical_form(g) != g.to_graph6()
     with pytest.raises(GraphError, match="canonical labeling"):
         canon.automorphism_generators(g._rows)
+
+
+def test_search_tree_node_totals_pinned(monkeypatch):
+    # phase (a) and phase (b) node totals, as the search that re-ran each
+    # column's bits over S after every split counted them: a cheaper node
+    # must walk the same tree, not only reach the same codes
+    counts = {"_choose": 0, "_extend": 0}
+
+    def counted(name):
+        step = getattr(canon, name)
+
+        def node(*args):
+            counts[name] += 1
+            return step(*args)
+
+        return node
+
+    for name in counts:
+        monkeypatch.setattr(canon, name, counted(name))
+    # the unfiltered builds of levels <= 7: children's canonical forms and
+    # parents' automorphism generators
+    monkeypatch.setattr(enumeration, "_level_cache", {})
+    enumeration._connected_codes(7)
+    assert counts == {"_choose": 16768, "_extend": 16565}
+    counts.update(_choose=0, _extend=0)
+    for d in json.loads((DATA / "canon_random_n12.json").read_text())["graphs"]:
+        canonical_form(graph_from_edges(d["n"], [tuple(e) for e in d["edges"]]))
+    assert counts == {"_choose": 10221, "_extend": 9906}
+
+
+def test_automorphism_generators_pinned():
+    # sha256 over the generators, in order, of every connected class with
+    # n <= 7, as the search that re-ran each column's bits over S after
+    # every split found them
+    h = hashlib.sha256()
+    for n in range(1, 8):
+        for code in enumeration._connected_codes(n):
+            gens = canon.automorphism_generators(graph_from_graph6(code)._rows)
+            h.update(f"{code} {gens}\n".encode())
+    assert h.hexdigest() == "420b9f28ce7a695773f3ed4e3b454be394bd9864e78f21e33a0ce1001759d7ac"
 
 
 class TestIsIsomorphic:

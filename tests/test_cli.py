@@ -3,10 +3,14 @@
 import csv
 import io
 import json
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import algconn
 from algconn import verify
 from algconn.canon import is_isomorphic
 from algconn.cli import cli_dispatch, main
@@ -231,3 +235,31 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout == "false\n"
+
+
+def run_module(*args):
+    """Start `python -m algconn ARGS` on the package these tests import."""
+    src = str(Path(algconn.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.Popen(
+        [sys.executable, "-m", "algconn", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+def test_python_dash_m_runs_the_cli():
+    out, err = run_module("theta", "check", "5; 0-1, 1-2, 2-3, 3-4, 0-4").communicate(timeout=120)
+    assert (out, err) == (b"false\n", b"")
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # the report is about 200K characters, past a pipe's buffer, so the
+    # writer is still writing when the reader closes the pipe
+    with run_module("verify", "t2", "--n-max", "24") as proc:
+        assert proc.stdout.readline() == b"[\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    assert b"Traceback" not in err

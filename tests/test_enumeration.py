@@ -146,13 +146,18 @@ def test_filtered_call_served_from_cached_level(cold_level_cache, canonical_call
 
 @pytest.mark.parametrize("predicate", FILTERS.values(), ids=FILTERS)
 def test_class_codes_are_the_enumerated_codes(cold_level_cache, monkeypatch, predicate):
-    decode, decoded = enumeration.graph_from_graph6, []
+    decoded = []
 
-    def counted(code):
-        decoded.append(code)
-        return decode(code)
+    def counted(decode):
+        def decode_counted(code):
+            decoded.append(code)
+            return decode(code)
 
-    monkeypatch.setattr(enumeration, "graph_from_graph6", counted)
+        return decode_counted
+
+    # parents are decoded to adjacency rows, cached codes to graphs
+    for name in ("graph_from_graph6", "_rows_from_graph6"):
+        monkeypatch.setattr(enumeration, name, counted(getattr(enumeration, name)))
     for n in range(4, 8):
         want = tuple(g.to_graph6() for g in enumerate_graphs(n, predicate))
         decoded.clear()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from algconn.enumeration import enumerate_graphs
+from algconn.enumeration import _connected_codes, enumerate_graphs
 from algconn.errors import (
     EdgeExistsError,
     EdgeMissingError,
@@ -17,6 +17,7 @@ from algconn.errors import (
 )
 from algconn.graphs import (
     Graph,
+    _rows_from_graph6,
     add_graph,
     complete_graph,
     empty_graph,
@@ -336,6 +337,67 @@ class TestGraph6Packer:
         for g in (empty_graph(63), path_graph(63)):
             with pytest.raises(Graph6Error, match="stops at n = 62"):
                 graph_to_graph6(g)
+
+
+def padded(n, bit):
+    """graph6 text of the empty graph of order n with padding bit `bit`
+    (0 = the lowest) of the last character set."""
+    text = graph_to_graph6(empty_graph(n))
+    return text[:-1] + chr(ord(text[-1]) + (1 << bit))
+
+
+# each is refused with Graph6Error, by both decoders
+MALFORMED_GRAPH6 = {
+    "empty": "",
+    "header only": ">>graph6<<",
+    "non-ASCII": "Déc",
+    "below range": "D c",
+    "above range": "D\x7fc",
+    "order 63 marker": "~??",
+    "short body": "Dh",
+    "long body": "Dhcc",
+    "padding n=3 bit 0": padded(3, 0),
+    "padding n=3 bit 2": padded(3, 2),
+    "padding n=5 bit 1": padded(5, 1),
+    "padding n=8 bit 1": padded(8, 1),
+    "padding n=62 bit 0": padded(62, 0),
+}
+
+
+class TestGraph6RowsDecoder:
+    """_rows_from_graph6 undoes the packer through base64; the per-bit
+    decoder in oracles is the reference."""
+
+    def test_connected_classes_up_to_8(self):
+        for n in range(1, 9):
+            for code in _connected_codes(n):
+                want = oracles.per_bit_graph6_rows(code)
+                assert _rows_from_graph6(code) == want
+                assert graph_from_graph6(code)._rows == want
+
+    def test_random_graphs_every_order(self):
+        rng = random.Random(63)
+        for n in range(63):
+            for _ in range(3):
+                g = random_graph(rng, n, rng.random())
+                text = graph_to_graph6(g)
+                assert _rows_from_graph6(text) == oracles.per_bit_graph6_rows(text) == g._rows
+
+    def test_header_and_whitespace_accepted(self):
+        assert _rows_from_graph6(" >>graph6<<Dhc\n") == cycle(5)._rows
+
+    @pytest.mark.parametrize("text", MALFORMED_GRAPH6.values(), ids=MALFORMED_GRAPH6)
+    def test_malformed_rejected(self, text):
+        for decode in (_rows_from_graph6, graph_from_graph6):
+            with pytest.raises(Graph6Error) as info:
+                decode(text)
+            assert type(info.value) is Graph6Error
+
+    def test_graph_from_rows_builds_edges_on_first_use(self):
+        g = graph_from_graph6("Dhc")
+        assert "edges" not in vars(g)
+        assert g == cycle(5) and hash(g) == hash(cycle(5))
+        assert g.edges == cycle(5).edges and "edges" in vars(g)
 
 
 class TestEdgeText:

@@ -29,7 +29,7 @@ from algconn.families import (
     realize,
     theta_triples,
 )
-from algconn.graphs import graph_from_edges, graph_from_graph6
+from algconn.graphs import _graph_from_rows, graph_from_edges, graph_from_graph6
 import algconn
 from algconn import verify
 from algconn.spectra import alpha_cycle_closed_form
@@ -340,15 +340,16 @@ def test_resumed_rows_built_by_row_from_stored_alpha(tmp_path, monkeypatch):
     stored = [json.loads(line) for line in cp.read_text().splitlines()]
     row, calls = verify._row, []
 
-    def recorded(g, code, spec, hamiltonian, triple=None, alpha=None):
+    def recorded(rows, code, spec, hamiltonian, triple=None, alpha=None):
         calls.append((code, alpha))
-        return row(g, code, spec, hamiltonian, triple, alpha)
+        return row(rows, code, spec, hamiltonian, triple, alpha)
 
-    def no_solve(g):
+    def no_solve(rows):
         raise AssertionError("Fiedler solve for a resumed row")
 
     monkeypatch.setattr(verify, "_row", recorded)
-    monkeypatch.setattr(verify, "fiedler_vector", no_solve)
+    # a sweep row solves for the Fiedler vector through its rows entry
+    monkeypatch.setattr(verify, "_fiedler", no_solve)
     resumed = verify_theorem_1(5, checkpoint=str(cp))
     assert calls == [(d["code"], d["alpha"]) for d in stored]
     assert resumed.rows == full.rows
@@ -469,8 +470,8 @@ def test_row_errors_name_stage_and_graph(monkeypatch, stage, error, theorem):
     def fails(*args):
         raise error("boom")
 
-    # a sweep row reaches the rewiring through rewire's internal entry
-    monkeypatch.setattr(verify, "_rewire" if stage == "rewire" else stage, fails)
+    # a sweep row reaches both stages through their rows entries
+    monkeypatch.setattr(verify, {"fiedler_vector": "_fiedler", "rewire": "_rewire"}[stage], fails)
     if theorem == "t1":
         name = next(enumerate_graphs(4, is_biconnected)).to_graph6()
         sweep = lambda: verify_theorem_1(4)
@@ -487,16 +488,16 @@ def test_row_rejects_fiedler_pair_that_is_not_an_eigenpair(monkeypatch, theorem)
     # a sweep row checks the residual fiedler_vector reports instead of
     # measuring its own; a perturbed vector, with the residual computed
     # from it, must still be refused at the rewire stage
-    fiedler = verify.fiedler_vector
+    fiedler = verify._fiedler
 
-    def perturbed(g):
-        f = fiedler(g)
+    def perturbed(rows):
+        f = fiedler(rows)
         x = f.vector.copy()
         x[0] += 1e-3
-        lap = g.laplacian().astype(float)
+        lap = _graph_from_rows(rows).laplacian().astype(float)
         return replace(f, vector=x, residual=float(np.max(np.abs(lap @ x - f.alpha * x))))
 
-    monkeypatch.setattr(verify, "fiedler_vector", perturbed)
+    monkeypatch.setattr(verify, "_fiedler", perturbed)
     sweep = verify_theorem_1 if theorem == "t1" else verify_theorem_2
     with pytest.raises(GraphError, match=r"^rewire failed at .*: vector/alpha pair is not an eigenpair"):
         sweep(4)
@@ -515,13 +516,13 @@ def test_theta_rows_are_biconnected():
 def test_lower_bound_error_names_bound_slack(monkeypatch, theorem):
     # an eigensolver that reports alpha 1e-6 below alpha(C_n) must trip the
     # bound, and the error must name the gap and bound_slack
-    fiedler = verify.fiedler_vector
+    fiedler = verify._fiedler
 
-    def low(g):
-        f = fiedler(g)
-        return replace(f, alpha=alpha_cycle_closed_form(g.n) - 1e-6)
+    def low(rows):
+        f = fiedler(rows)
+        return replace(f, alpha=alpha_cycle_closed_form(len(rows)) - 1e-6)
 
-    monkeypatch.setattr(verify, "fiedler_vector", low)
+    monkeypatch.setattr(verify, "_fiedler", low)
     monkeypatch.setattr(verify, "BOUND_SLACK", 1e-9)
     sweep = verify_theorem_1 if theorem == "t1" else verify_theorem_2
     with pytest.raises(VerificationError) as info:
