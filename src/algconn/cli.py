@@ -15,7 +15,7 @@ import random
 import sys
 
 from .connectivity import is_biconnected, is_connected, is_theta
-from .enumeration import enumerate_graphs, write_graph6_stream
+from .enumeration import class_codes
 from .errors import AlgConnError
 from .families import parse_family_text, realize
 from .graphs import parse_graph_text
@@ -108,12 +108,11 @@ def _cmd_rewire(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     rng = random.Random(args.seed) if args.seed is not None else None
-    stream = enumerate_graphs(args.n, _PREDICATES[args.predicate], rng)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            write_graph6_stream(stream, fh)
-    else:
-        write_graph6_stream(stream, sys.stdout)
+    # a class's canonical code is its graph6 line
+    codes = class_codes(args.n, _PREDICATES[args.predicate], rng)
+    with contextlib.ExitStack() as stack:
+        out = stack.enter_context(open(args.out, "w", encoding="ascii")) if args.out else sys.stdout
+        out.writelines(code + "\n" for code in codes)
     return 0
 
 

@@ -199,15 +199,19 @@ def enumerate_graphs(
             yield graph_from_graph6(code)
 
 
-def class_codes(n: int, predicate: Callable[[Graph], bool]) -> tuple[str, ...]:
-    """The canonical codes of the classes enumerate_graphs(n, predicate)
-    yields, in the same order. A level built for this call hands its
+def class_codes(
+    n: int,
+    predicate: Callable[[Graph], bool],
+    rng: random.Random | None = None,
+) -> tuple[str, ...]:
+    """The canonical codes of the classes enumerate_graphs(n, predicate,
+    rng) yields, in the same order. A level built for this call hands its
     codes over undecoded; a cached level decodes each code once, for the
     predicate."""
     n = _order(n)
-    if n in _level_cache:
+    if rng is None and n in _level_cache:
         return tuple(c for c in _level_cache[n] if predicate(graph_from_graph6(c)))
-    return _connected_codes(n, None, predicate)
+    return _connected_codes(n, rng, predicate)
 
 
 def _order(n) -> int:
@@ -222,11 +226,3 @@ def _order(n) -> int:
 def count_classes(n: int, predicate: Callable[[Graph], bool]) -> int:
     return sum(1 for _ in enumerate_graphs(n, predicate))
 
-
-def write_graph6_stream(graphs, out) -> int:
-    """Dump graphs one graph6 line at a time; returns how many were written."""
-    count = 0
-    for g in graphs:
-        out.write(g.to_graph6() + "\n")
-        count += 1
-    return count

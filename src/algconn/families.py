@@ -27,7 +27,7 @@ import numpy as np
 
 from .canon import canonical_form
 from .errors import FamilySpecError, as_index
-from .graphs import Graph, graph_from_edges
+from .graphs import Graph, _graph_from_rows, graph_from_edges
 
 
 class FamilyKind(str, enum.Enum):
@@ -171,14 +171,23 @@ def realize(spec: FamilySpec) -> Graph:
     """Construct the graph a FamilySpec names."""
     n = spec.n
     if spec.kind == FamilyKind.THETA:
-        l1, l2, _ = spec.indices
-        # poles are 0 and l1; the three paths take consecutive inner labels
-        pairs = []
-        for inner in (range(1, l1), range(l1 + 1, l1 + l2), range(l1 + l2, n)):
-            path = [0, *inner, l1]
-            pairs += zip(path, path[1:])
-        return graph_from_edges(n, pairs)
+        return _graph_from_rows(_theta_rows(spec.indices))
     return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)] + list(spec.chord_pairs()))
+
+
+def _theta_rows(triple: tuple[int, int, int]) -> tuple[int, ...]:
+    """The adjacency rows of the theta graph of an admissible length triple
+    l1 <= l2 <= l3: poles 0 and l1, the three paths on consecutive inner
+    labels (the l1 path on 1..l1-1)."""
+    l1, l2, l3 = triple
+    n = l1 + l2 + l3 - 1
+    rows = [0] * n
+    for inner in (range(1, l1), range(l1 + 1, l1 + l2), range(l1 + l2, n)):
+        path = [0, *inner, l1]
+        for a, b in zip(path, path[1:]):
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+    return tuple(rows)
 
 
 def saturated(kind: FamilyKind, n: int) -> Graph:

@@ -11,8 +11,10 @@ use. Two text forms are supported: graph6 (the compact ASCII format,
 n <= 62 here) and a human-readable edge list ``"n; u-v, u-v, .."``.
 graph6 text has one packer, graph6_from_int: the upper-triangle bit
 string is one int, and base64 cuts it into the 6-bit groups, its
-alphabet mapped onto graph6's by one translation table. The decoder,
-_rows_from_graph6, runs the same table backwards.
+alphabet mapped onto graph6's by one translation table. That int comes
+from adjacency rows in one place, _graph6_from_rows, which
+graph_to_graph6 calls. The decoder, _rows_from_graph6, runs the same
+table backwards.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ class Graph:
         return Graph(self.n, self.edges - {(u, v)})
 
     def adjacency_matrix(self) -> np.ndarray:
-        return _adjacency(self._rows).astype(np.int64)
+        return _adjacency(self._rows, self.n).astype(np.int64)
 
     def laplacian(self) -> np.ndarray:
         """Degree-minus-adjacency matrix, exact int64 entries."""
@@ -171,12 +173,12 @@ def _edge_pairs(rows) -> list[tuple[int, int]]:
     return pairs
 
 
-def _adjacency(rows) -> np.ndarray:
-    """The 0/1 adjacency matrix of adjacency rows, as uint8."""
-    n = len(rows)
+def _adjacency(rows, n: int) -> np.ndarray:
+    """The 0/1 matrix with one row per adjacency row and n columns, as
+    uint8: a graph's adjacency matrix, or a batch of them stacked."""
     width = (n + 7) >> 3
     packed = np.frombuffer(b"".join([r.to_bytes(width, "little") for r in rows]), np.uint8)
-    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
+    return np.unpackbits(packed.reshape(len(rows), width), axis=1, count=n, bitorder="little")
 
 
 def graph_from_edges(n: int, pairs) -> Graph:
@@ -222,6 +224,8 @@ _B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _GRAPH6_CHARS = bytes(range(63, 127))
 _B64_TO_GRAPH6 = bytes.maketrans(_B64, _GRAPH6_CHARS)
 _GRAPH6_TO_B64 = bytes.maketrans(_GRAPH6_CHARS, _B64)
+# byte i with its 8 bits in reverse order
+_BIT_REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 
 
 def graph6_from_int(n: int, bits: int) -> str:
@@ -241,11 +245,24 @@ def graph6_from_int(n: int, bits: int) -> str:
 
 def graph_to_graph6(g: Graph) -> str:
     """Encode in graph6: size byte, then the column-major upper triangle."""
-    top = g.n * (g.n - 1) // 2 - 1
-    bits = 0
-    for u, v in g.edges:
-        bits |= 1 << top - (v * (v - 1) // 2 + u)
-    return graph6_from_int(g.n, bits)
+    return _graph6_from_rows(g._rows)
+
+
+def _graph6_from_rows(rows) -> str:
+    """graph6 text of adjacency rows. Pair (u, v), u < v, is bit u of row
+    v and bit v(v-1)/2 + u of the graph6 bit string, counted from its
+    first bit. So the low triangle, packed row by row from the low end,
+    is that string backwards, and its little-endian bytes, each
+    bit-reversed, read big-endian are the string forwards (plus the
+    byte's padding bits at the low end)."""
+    n = len(rows)
+    packed = 0
+    for v, row in enumerate(rows):
+        packed |= (row & (1 << v) - 1) << v * (v - 1) // 2
+    nbits = n * (n - 1) // 2
+    size = (nbits + 7) >> 3
+    forwards = packed.to_bytes(size, "little").translate(_BIT_REVERSED)
+    return graph6_from_int(n, int.from_bytes(forwards, "big") >> 8 * size - nbits)
 
 
 def graph_from_graph6(text: str) -> Graph:

@@ -27,7 +27,6 @@ keeps as its vertex sequence.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,7 +35,8 @@ import numpy as np
 from .connectivity import _disjoint_paths, hamiltonian_cycle, is_biconnected
 from .errors import GraphError, RewireDefectError
 from .graphs import Graph, _edge_pairs
-from .spectra import FiedlerResult, _laplacian, alpha_cycle_closed_form, fiedler_vector, quadratic_form
+from .jsontext import json_text
+from .spectra import FiedlerResult, _laplacians, alpha_cycle_closed_form, fiedler_vector, quadratic_form
 
 CHAIN_REL_TOL = 1e-15
 Q_CHAIN_SLACK = 1e-12
@@ -138,7 +138,7 @@ def rewire(g: Graph, f: FiedlerResult) -> RewireCertificate:
     x = np.asarray(f.vector, dtype=np.float64)
     if x.shape != (g.n,):
         raise GraphError("Fiedler vector length does not match the graph")
-    lap = _laplacian(g._rows)
+    lap = _laplacians([g._rows])[0]
     # inf or NaN input leaves a NaN residual, which _rewire rejects
     with np.errstate(invalid="ignore"):
         resid = float(np.max(np.abs(lap @ x - f.alpha * x)))
@@ -304,7 +304,8 @@ def certificate_to_dict(cert: RewireCertificate) -> dict:
 
 
 def certificate_to_json(cert: RewireCertificate) -> str:
-    return json.dumps(certificate_to_dict(cert), indent=2, sort_keys=True)
+    """json.dumps(certificate_to_dict(cert), indent=2, sort_keys=True)."""
+    return json_text(certificate_to_dict(cert))
 
 
 def certificate_to_text(cert: RewireCertificate) -> str:

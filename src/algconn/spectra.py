@@ -10,10 +10,15 @@ eigen_symmetric validates an arbitrary matrix (square, finite, symmetric
 to roundoff) before the solve and reports the all-pairs residual after.
 fiedler_vector solves a graph's exact integer Laplacian directly: such a
 matrix passes every one of those checks by construction, so it skips them
-and reports only the residual of the Fiedler pair. The Laplacian is built
-from the graph's bitmask rows (_laplacian), and the solve after
-fiedler_vector's checks is its rows entry, _fiedler, which a sweep row
-calls directly.
+and reports only the residual of the Fiedler pair. The solve after
+fiedler_vector's checks is _fiedlers, which takes a batch of graphs of
+one order as bitmask rows, stacks their Laplacians (_laplacians) and
+makes one eigh call on the (k, n, n) stack; normalization, sign,
+multiplicity and residual stay per-graph arithmetic. numpy runs the same
+LAPACK call on each matrix of a stack as on the matrix alone, so a
+graph's result does not depend on the batch it was solved in.
+fiedler_vector solves a batch of one, and a sweep one batch of rows at a
+time.
 """
 
 from __future__ import annotations
@@ -66,26 +71,32 @@ def eigen_symmetric(m: np.ndarray) -> SpectralDecomposition:
 
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK's symmetric solve; a failure is a ConvergenceError carrying a."""
+    """LAPACK's symmetric solve of a matrix, or of a (k, n, n) stack in one
+    call; a failure is a ConvergenceError carrying the matrix (of a stack
+    of one, its one matrix; numpy does not say which of a larger stack
+    failed)."""
     try:
         return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
-        n = a.shape[0]
+        n = a.shape[-1]
         err = ConvergenceError(f"eigensolver failed on a {n}x{n} matrix: {exc}")
-        err.matrix = a
+        err.matrix = a[0] if a.ndim == 3 and len(a) == 1 else a
         raise err from exc
 
 
-def _laplacian(rows) -> np.ndarray:
-    """The float64 Laplacian of adjacency rows: g.laplacian() as floats,
-    each entry the same float (an off-diagonal zero is +0.0)."""
-    lap = (-_adjacency(rows).view(np.int8)).astype(np.float64)
-    lap.flat[:: len(rows) + 1] = [r.bit_count() for r in rows]
-    return lap
+def _laplacians(batch) -> np.ndarray:
+    """The float64 Laplacians of a batch of adjacency rows of one order n,
+    as a (k, n, n) stack: g.laplacian() as floats, each entry the same
+    float (an off-diagonal zero is +0.0)."""
+    k, n = len(batch), len(batch[0])
+    lap = (-_adjacency([r for rows in batch for r in rows], n).view(np.int8)).astype(np.float64)
+    # each matrix's diagonal is every (n + 1)-th entry of its n * n
+    lap.reshape(k, n * n)[:, :: n + 1] = [[r.bit_count() for r in rows] for rows in batch]
+    return lap.reshape(k, n, n)
 
 
 def laplacian_spectrum(g: Graph) -> SpectralDecomposition:
-    return eigen_symmetric(_laplacian(g._rows))
+    return eigen_symmetric(_laplacians([g._rows])[0])
 
 
 def algebraic_connectivity(g: Graph) -> float:
@@ -113,27 +124,31 @@ def fiedler_vector(g: Graph) -> FiedlerResult:
         raise DisconnectedGraphError(
             "Fiedler vector of a disconnected graph is ill-posed (alpha = 0)"
         )
-    return _fiedler(g._rows)
+    return _fiedlers([g._rows])[0]
 
 
-def _fiedler(rows) -> FiedlerResult:
-    """fiedler_vector of the connected graph with these adjacency rows,
-    n >= 2, which the caller has established."""
+def _fiedlers(batch) -> list[FiedlerResult]:
+    """fiedler_vector of each graph in a nonempty batch of adjacency rows,
+    all of one order n >= 2 and connected, which the caller has
+    established; one stacked eigh call solves them all."""
     # integer entries: finite and exactly symmetric, so eigen_symmetric's
     # checks, symmetrizing copy and all-pairs residual would change nothing
-    lap = _laplacian(rows)
-    values, vectors = _eigh(lap)
-    alpha = float(values[1])
-    tol = multiplicity_tolerance(len(rows))
-    multiplicity = sum(1 for v in values.tolist() if abs(v - alpha) <= tol)
-    vec = vectors[:, 1].copy()
-    vec /= math.sqrt(float(vec @ vec))
-    # sign convention: first coordinate of largest magnitude made positive
-    lead = int(np.abs(vec).argmax())
-    if vec[lead] < 0.0:
-        vec = -vec
-    residual = float(np.abs(lap @ vec - alpha * vec).max())
-    return FiedlerResult(alpha=alpha, vector=vec, multiplicity=multiplicity, residual=residual)
+    laps = _laplacians(batch)
+    values, vectors = _eigh(laps)
+    tol = multiplicity_tolerance(laps.shape[1])
+    out = []
+    for lap, vals, vecs in zip(laps, values.tolist(), vectors):
+        alpha = vals[1]
+        multiplicity = sum(1 for v in vals if abs(v - alpha) <= tol)
+        vec = vecs[:, 1].copy()
+        vec /= math.sqrt(float(vec @ vec))
+        # sign convention: first coordinate of largest magnitude made positive
+        lead = int(np.abs(vec).argmax())
+        if vec[lead] < 0.0:
+            vec = -vec
+        residual = float(np.abs(lap @ vec - alpha * vec).max())
+        out.append(FiedlerResult(alpha, vec, multiplicity, residual))
+    return out
 
 
 def rayleigh_quotient(g: Graph, x) -> float:

@@ -8,12 +8,15 @@ triples, where the equality set is exactly the triples containing a
 length-1 path.
 
 One function builds every row of both sweeps, computed or resumed from a
-checkpoint, and gives it the one verdict. A report holds its theorem,
-order, rows and runtime; its count, minimum alpha and flagged list derive
-from the rows, and alpha(C_n) from the order. The verdict knows the
-family member the graph is, or that it is none, from canonical-form
-identity (biconnected sweep) or from its triple (theta sweep): floating
-point alone never decides equality. Its policy:
+checkpoint, and gives it the one verdict. Computed rows come a batch at a
+time, a CHUNK_ROWS slice of one order's class codes or theta triples:
+one stacked eigensolve gives the batch's Fiedler vectors, and then each
+row in turn gets its verdict and rewiring and reaches the checkpoint. A
+report holds its theorem, order, rows and runtime; its count, minimum
+alpha and flagged list derive from the rows, and alpha(C_n) from the
+order. The verdict knows the family member the graph is, or that it is
+none, from canonical-form identity (biconnected sweep) or from its triple
+(theta sweep): floating point alone never decides equality. Its policy:
 
 - a gap alpha - alpha(C_n) below -BOUND_SLACK raises VerificationError;
 - so does a family member whose gap lies outside EQUAL_TOL;
@@ -39,27 +42,30 @@ import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
-from .canon import ORDER_LIMIT, canonical_form
+from .canon import ORDER_LIMIT, _canonical_code, canonical_form
 from .connectivity import _hamiltonian_cycle, is_biconnected
 from .enumeration import ENUMERATION_LIMIT, class_codes
 from .errors import AlgConnError, VerificationError, as_index
 from .families import (
-    FamilyKind,
     FamilySpec,
+    _theta_rows,
     equality_family_specs,
-    realize,
     single_chord_spec_for_triple,
     theta_triples,
 )
-from .graphs import Graph, _rows_from_graph6
+from .graphs import Graph, _graph6_from_rows, _rows_from_graph6
+from .jsontext import json_text
 from .rewiring import _rewire
-from .spectra import _fiedler, alpha_cycle_closed_form
+from .spectra import FiedlerResult, _fiedlers, alpha_cycle_closed_form
 
 NOT_EXTREMAL = "not_extremal"
 
-# rows per task a --jobs pool sends a worker: the checkpoint advances a
-# chunk at a time, and an interrupt loses the chunks still in flight
+# rows per batch: one stacked eigensolve, whose arrays hold CHUNK_ROWS
+# n x n matrices, and one task a --jobs pool sends a worker; under a pool
+# the checkpoint advances a chunk at a time, and an interrupt loses the
+# chunks still in flight
 CHUNK_ROWS = 64
 
 
@@ -172,33 +178,58 @@ def _row(
     hamiltonian: bool,
     triple: tuple[int, int, int] | None = None,
     alpha: float | None = None,
+    f: FiedlerResult | None = None,
 ) -> SweepRow:
-    """Fiedler vector, verdict and rewiring checks of one sweep graph,
-    given by its adjacency rows.
+    """Verdict and rewiring checks of one sweep graph, given by its
+    adjacency rows and its Fiedler solve f (_sweep_rows).
 
     code is the graph's row key, spec the family member it is known to be
     (or None), and triple its path lengths when it is a theta graph. It is
     biconnected with n >= 4 by construction (the level filter, or the
-    theta construction), so the row takes the Fiedler vector and the
-    rewiring with its checks through their rows entries, without
-    fiedler_vector's and rewire's input validation; _rewire checks the
-    residual the Fiedler solve measured on the same Laplacian, and no
-    certificate is built. A row resumed from a checkpoint passes its
-    stored alpha: the Fiedler solve and the rewiring ran when that row was
-    written, so only the verdict runs.
+    theta construction), so the row takes the rewiring with its checks
+    through its rows entry, without rewire's input validation; _rewire
+    checks the residual the Fiedler solve measured on the same Laplacian,
+    and no certificate is built. A row resumed from a checkpoint passes
+    its stored alpha instead of f: the Fiedler solve and the rewiring ran
+    when that row was written, so only the verdict runs.
     """
     n = len(rows)
-    name = code if triple is None else f"theta{triple} ({code})"
-    f = None
-    if alpha is None:
-        with _stage("fiedler_vector", name):
-            f = _fiedler(rows)
+    name = _row_name(code, triple)
+    if f is not None:
         alpha = f.alpha
     eq = _verdict(name, n, alpha, spec, hamiltonian)
     if f is not None:
         with _stage("rewire", name):
             _rewire(rows, f.vector, f.residual)
     return SweepRow(n, code, alpha, eq, hamiltonian, triple)
+
+
+def _row_name(code: str, triple: tuple[int, int, int] | None) -> str:
+    return code if triple is None else f"theta{triple} ({code})"
+
+
+def _sweep_rows(items: list[tuple]) -> Iterator[SweepRow]:
+    """The rows of a nonempty batch of sweep graphs of one order, each item
+    _row's (rows, code, spec, hamiltonian, triple): one stacked Fiedler
+    solve, then each row, yielded as its verdict and rewiring finish.
+
+    A stacked solve that fails does not say which graph failed, so the
+    graphs are then solved one at a time, each under its own name.
+    """
+    try:
+        solved = _fiedlers([rows for rows, *_ in items])
+    except AlgConnError:
+        solved = [None] * len(items)
+    for (rows, code, spec, hamiltonian, triple), f in zip(items, solved):
+        if f is None:
+            with _stage("fiedler_vector", _row_name(code, triple)):
+                (f,) = _fiedlers([rows])
+        yield _row(rows, code, spec, hamiltonian, triple, f=f)
+
+
+def _chunks(items: list) -> list[list]:
+    """items in CHUNK_ROWS slices, the batches of a sweep."""
+    return [items[i : i + CHUNK_ROWS] for i in range(0, len(items), CHUNK_ROWS)]
 
 
 def classify_equality(g: Graph) -> EqualityClass:
@@ -212,21 +243,32 @@ def classify_equality(g: Graph) -> EqualityClass:
         raise VerificationError(f"equality classification covers 4 <= n, got n = {g.n}")
     if not is_biconnected(g):
         raise VerificationError("equality classification expects a biconnected graph")
-    return _biconnected_row(canonical_form(g)).equality
+    return next(_biconnected_rows([canonical_form(g)])).equality
 
 
-def _biconnected_row(code_g6: str, alpha: float | None = None) -> SweepRow:
-    rows = _rows_from_graph6(code_g6)
-    spec = _family_code_map(len(rows)).get(code_g6)
-    return _row(rows, code_g6, spec, _hamiltonian_cycle(rows) is not None, alpha=alpha)
+def _biconnected_item(code: str) -> tuple:
+    """_row's graph arguments for the biconnected class with this code."""
+    rows = _rows_from_graph6(code)
+    spec = _family_code_map(len(rows)).get(code)
+    return rows, code, spec, _hamiltonian_cycle(rows) is not None, None
+
+
+def _biconnected_rows(codes) -> Iterator[SweepRow]:
+    """The rows of a nonempty batch of one order's class codes (_sweep_rows)."""
+    return _sweep_rows([_biconnected_item(c) for c in codes])
+
+
+def _biconnected_chunk(codes) -> list[SweepRow]:
+    """_biconnected_rows as a list, which a --jobs worker can send back."""
+    return list(_biconnected_rows(codes))
 
 
 def _load_checkpoint(path: str, n: int, codes: set[str]) -> dict[str, SweepRow]:
     """Rows of an earlier run of the order-n sweep, rebuilt and checked.
 
-    A resumed row is built by _biconnected_row, as a computed one is, from
-    its stored code and alpha: a fresh Hamiltonian search and the verdict,
-    without the Fiedler solve and rewire. Its line must then
+    A resumed row is built by _row, as a computed one is, from its stored
+    code and alpha: a fresh Hamiltonian search and the verdict, without
+    the Fiedler solve and rewire. Its line must then
     equal that row's _row_to_dict in every field, and its code must be one
     of codes, the sweep's classes. Rows end in a newline, so text after the
     last one is a row cut short by an interrupt: it is dropped, and the
@@ -249,7 +291,7 @@ def _load_checkpoint(path: str, n: int, codes: set[str]) -> dict[str, SweepRow]:
             code = stored["code"]
             if code not in codes:
                 raise VerificationError(f"code {code!r} is not a class of the order-{n} sweep")
-            row = _biconnected_row(code, stored["alpha"])
+            row = _row(*_biconnected_item(code), alpha=stored["alpha"])
             for field, derived in _row_to_dict(row).items():
                 if stored[field] != derived:
                     raise VerificationError(f"{field} {stored[field]!r} does not match {derived!r}")
@@ -287,6 +329,7 @@ def verify_theorem_1(
     if checkpoint and os.path.exists(checkpoint):
         done = _load_checkpoint(checkpoint, n, set(codes))
     todo = [c for c in codes if c not in done]
+    chunks = _chunks(todo)
     with contextlib.ExitStack() as stack:
         # line-buffered: each finished row reaches the file before the next
         # starts, so an interrupted sweep loses none of them
@@ -296,9 +339,9 @@ def verify_theorem_1(
             import concurrent.futures
 
             pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=jobs))
-            results = pool.map(_biconnected_row, todo, chunksize=CHUNK_ROWS)
+            results = itertools.chain.from_iterable(pool.map(_biconnected_chunk, chunks))
         else:
-            results = map(_biconnected_row, todo)
+            results = itertools.chain.from_iterable(map(_biconnected_rows, chunks))
         for row in results:
             done[row.code] = row
             if sink:
@@ -313,16 +356,16 @@ def verify_theorem_1(
     return VerificationReport("t1", n, rows, time.monotonic() - start)
 
 
-def _theta_row(triple: tuple[int, int, int]) -> SweepRow:
-    g = realize(FamilySpec(FamilyKind.THETA, sum(triple) - 1, triple))
+def _theta_item(triple: tuple[int, int, int]) -> tuple:
+    """_row's graph arguments for the theta graph of a length triple."""
+    rows = _theta_rows(triple)
     # triples are complete isomorphism invariants for theta graphs, so for
     # orders past the canonical-form cap the constructed labeling's code
     # stands in as the row key
-    code = canonical_form(g) if g.n <= ORDER_LIMIT else g.to_graph6()
-    spec = single_chord_spec_for_triple(triple)
+    code = _canonical_code(rows) if len(rows) <= ORDER_LIMIT else _graph6_from_rows(rows)
     # a theta graph has a spanning cycle exactly when its third path is
     # a bare edge: any cycle in it is the union of two of the paths
-    return _row(g._rows, code, spec, triple[0] == 1, triple)
+    return rows, code, single_chord_spec_for_triple(triple), triple[0] == 1, triple
 
 
 def verify_theorem_2(n_max: int) -> list[VerificationReport]:
@@ -333,7 +376,9 @@ def verify_theorem_2(n_max: int) -> list[VerificationReport]:
     reports = []
     for n in range(4, n_max + 1):
         start = time.monotonic()
-        rows = tuple(_theta_row(t) for t in theta_triples(n))
+        rows = []
+        for chunk in _chunks(theta_triples(n)):
+            rows += _sweep_rows([_theta_item(t) for t in chunk])
         rows = tuple(sorted(rows, key=lambda r: r.code))
         reports.append(VerificationReport("t2", n, rows, time.monotonic() - start))
     return reports
@@ -407,17 +452,17 @@ _BLOCK_CHARS = 1 << 14
 def _report_pieces(report: VerificationReport, depth: int):
     """json.dumps(report_to_dict(report), indent=2, sort_keys=True) nested
     depth levels deep, in pieces: the text before the rows, one piece per
-    row, and the rest. Sorted keys put every summary before the rows, and
-    a report always has rows (min_alpha needs one)."""
+    row, and the rest, all written by json_text. Sorted keys put every
+    summary before the rows, and a report always has rows (min_alpha
+    needs one)."""
     pad = "\n" + "  " * depth
-    text = json.dumps(_report_dict(report, _ROWS_MARK), indent=2, sort_keys=True)
-    head, tail = text.replace("\n", pad).split(json.dumps(_ROWS_MARK))
+    text = json_text(_report_dict(report, _ROWS_MARK), pad)
+    head, tail = text.split(json_text(_ROWS_MARK))
     yield head
     row_pad = pad + "    "
     sep = "["
     for row in report.rows:
-        row_text = json.dumps(_row_to_dict(row), indent=2, sort_keys=True)
-        yield sep + row_pad + row_text.replace("\n", row_pad)
+        yield sep + row_pad + json_text(_row_to_dict(row), row_pad)
         sep = ","
     yield pad + "  ]" + tail
 

@@ -13,6 +13,8 @@ import pytest
 import algconn
 from algconn import verify
 from algconn.canon import is_isomorphic
+from algconn.connectivity import is_connected
+from algconn.enumeration import enumerate_graphs
 from algconn.cli import cli_dispatch, main
 from algconn.families import cycle_graph, realize, parse_family_text
 from algconn.graphs import graph_from_graph6
@@ -126,6 +128,14 @@ class TestEnumerate:
         _, seeded, _ = run(capsys, "enumerate", "--n", "5", "--seed", "3")
         # the plain run cached every level, so only a rebuild canonicalizes
         assert plain == seeded and canonical_calls
+
+    @pytest.mark.parametrize("seed", [[], ["--seed", "4"]], ids=["plain", "seeded"])
+    def test_lines_are_the_graphs_in_graph6(self, capsys, seed):
+        # the command writes the class codes it has, without a decode and
+        # re-encode; those are the graph6 lines of the enumerated graphs
+        _, out, _ = run(capsys, "enumerate", "--n", "6", "--predicate", "connected", *seed)
+        graphs = enumerate_graphs(6, is_connected)
+        assert out == "".join(g.to_graph6() + "\n" for g in graphs)
 
     def test_order_cap_exits_1(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "12")

@@ -16,7 +16,6 @@ from algconn.enumeration import (
     class_codes,
     count_classes,
     enumerate_graphs,
-    write_graph6_stream,
 )
 from algconn.errors import OrderLimitError
 from algconn.graphs import graph_from_graph6
@@ -282,19 +281,6 @@ def test_order_limits():
         list(enumerate_graphs(0, lambda _: True))
     with pytest.raises(OrderLimitError, match="5.0"):
         list(enumerate_graphs(5.0, lambda _: True))
-
-
-def test_graph6_stream_dump(tmp_path):
-    out = tmp_path / "n5.g6"
-    with open(out, "w", encoding="ascii") as fh:
-        wrote = write_graph6_stream(enumerate_graphs(5, is_biconnected), fh)
-    lines = out.read_text().splitlines()
-    assert wrote == len(lines) == 10
-    from algconn.graphs import graph_from_graph6
-
-    for line in lines:
-        g = graph_from_graph6(line)
-        assert is_biconnected(g)
 
 
 def test_stream_is_lazy():

@@ -10,10 +10,12 @@ import pytest
 
 import oracles
 from algconn.connectivity import is_biconnected
-from algconn.enumeration import enumerate_graphs
+from algconn.enumeration import class_codes, enumerate_graphs
 from algconn.errors import ConvergenceError, DisconnectedGraphError, GraphError
-from algconn.graphs import complete_graph, graph_from_edges, path_graph
+from algconn.families import _theta_rows, theta_triples
+from algconn.graphs import _rows_from_graph6, complete_graph, graph_from_edges, path_graph
 from algconn.spectra import (
+    _fiedlers,
     algebraic_connectivity,
     alpha_cycle_closed_form,
     eigen_symmetric,
@@ -22,6 +24,7 @@ from algconn.spectra import (
     multiplicity_tolerance,
     rayleigh_quotient,
 )
+from algconn.verify import CHUNK_ROWS
 
 
 def cycle(n):
@@ -246,6 +249,35 @@ class TestFiedlerVector:
             fiedler_vector(g)
         assert info.value.matrix.dtype == np.float64
         assert np.array_equal(info.value.matrix, g.laplacian())
+
+    def test_convergence_error_in_a_stack_carries_the_stack(self, monkeypatch):
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        batch = [cycle(5)._rows, complete_graph(5)._rows]
+        with pytest.raises(ConvergenceError, match="5x5") as info:
+            _fiedlers(batch)
+        assert info.value.matrix.shape == (2, 5, 5)
+        assert np.array_equal(info.value.matrix[1], complete_graph(5).laplacian())
+
+    def test_batched_solve_is_bit_identical_to_one_graph_at_a_time(self):
+        # a sweep solves a CHUNK_ROWS slice of one order's classes or theta
+        # triples in one stacked eigh call; each graph must get the bits
+        # that fiedler_vector's batch of one gives it, here also in whole
+        # orders of up to 133 triples
+        batches = []
+        for n in range(4, 9):
+            rows = [_rows_from_graph6(c) for c in class_codes(n, is_biconnected)]
+            batches += [rows[i : i + CHUNK_ROWS] for i in range(0, len(rows), CHUNK_ROWS)]
+        batches += [[_theta_rows(t) for t in theta_triples(n)] for n in range(4, 41)]
+        assert sum(map(len, batches)) == 9602
+        for batch in batches:
+            for rows, f in zip(batch, _fiedlers(batch), strict=True):
+                (one,) = _fiedlers([rows])
+                assert f.alpha == one.alpha and f.multiplicity == one.multiplicity
+                assert f.vector.tobytes() == one.vector.tobytes()
+                assert f.residual == one.residual
 
     def test_multiplicity_tolerance_scale(self):
         assert multiplicity_tolerance(5) == 1e-8

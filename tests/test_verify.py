@@ -23,6 +23,7 @@ from algconn.errors import ConvergenceError, GraphError, RewireDefectError, Veri
 from algconn.families import (
     FamilyKind,
     FamilySpec,
+    _theta_rows,
     cycle_graph,
     equality_family_specs,
     parse_family_text,
@@ -30,6 +31,7 @@ from algconn.families import (
     theta_triples,
 )
 from algconn.graphs import _graph_from_rows, graph_from_edges, graph_from_graph6
+from algconn.jsontext import json_text
 import algconn
 from algconn import verify
 from algconn.spectra import alpha_cycle_closed_form
@@ -182,13 +184,15 @@ def test_sweep_parallel_matches_serial():
 
 def test_sweep_pool_sends_bounded_chunks(t1_small, monkeypatch, tmp_path):
     # the chunk size is fixed, not a share of the sweep, and neither the
-    # rows nor the checkpoint's order depend on it
+    # rows nor the checkpoint's order depend on it; each task is one chunk
+    # of codes, and every chunk but the last is full
     monkeypatch.setattr(verify, "CHUNK_ROWS", 5)
     pool_map, sizes = concurrent.futures.ProcessPoolExecutor.map, []
 
-    def recorded(self, fn, *iterables, chunksize=1, **kwargs):
-        sizes.append(chunksize)
-        return pool_map(self, fn, *iterables, chunksize=chunksize, **kwargs)
+    def recorded(self, fn, chunks, **kwargs):
+        chunks = list(chunks)
+        sizes.extend({len(chunk) for chunk in chunks[:-1]})
+        return pool_map(self, fn, chunks, **kwargs)
 
     monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "map", recorded)
     cp = tmp_path / "sweep6.jsonl"
@@ -312,19 +316,21 @@ def test_checkpoint_rows_on_disk_before_interrupt(tmp_path, monkeypatch):
     # file, not in a write buffer that dies with the process
     cp = tmp_path / "sweep6.jsonl"
     k = 7
-    row = verify._biconnected_row
+    row = verify._row
     done = 0
     text = None
 
-    def dies_after_k(code, alpha=None):
+    # rows are solved a chunk at a time, then each goes through _row and on
+    # to the file before the next one's verdict and rewiring
+    def dies_after_k(*args, **kwargs):
         nonlocal done, text
         if done == k:
             text = cp.read_text()
             raise KeyboardInterrupt
         done += 1
-        return row(code, alpha)
+        return row(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "_biconnected_row", dies_after_k)
+    monkeypatch.setattr(verify, "_row", dies_after_k)
     with pytest.raises(KeyboardInterrupt):
         verify_theorem_1(6, checkpoint=str(cp))
     assert text.endswith("\n") and len(text.splitlines()) == k
@@ -340,16 +346,16 @@ def test_resumed_rows_built_by_row_from_stored_alpha(tmp_path, monkeypatch):
     stored = [json.loads(line) for line in cp.read_text().splitlines()]
     row, calls = verify._row, []
 
-    def recorded(rows, code, spec, hamiltonian, triple=None, alpha=None):
+    def recorded(rows, code, spec, hamiltonian, triple=None, alpha=None, f=None):
         calls.append((code, alpha))
-        return row(rows, code, spec, hamiltonian, triple, alpha)
+        return row(rows, code, spec, hamiltonian, triple, alpha, f)
 
-    def no_solve(rows):
+    def no_solve(batch):
         raise AssertionError("Fiedler solve for a resumed row")
 
     monkeypatch.setattr(verify, "_row", recorded)
-    # a sweep row solves for the Fiedler vector through its rows entry
-    monkeypatch.setattr(verify, "_fiedler", no_solve)
+    # sweep rows solve for their Fiedler vectors a batch at a time
+    monkeypatch.setattr(verify, "_fiedlers", no_solve)
     resumed = verify_theorem_1(5, checkpoint=str(cp))
     assert calls == [(d["code"], d["alpha"]) for d in stored]
     assert resumed.rows == full.rows
@@ -470,8 +476,9 @@ def test_row_errors_name_stage_and_graph(monkeypatch, stage, error, theorem):
     def fails(*args):
         raise error("boom")
 
-    # a sweep row reaches both stages through their rows entries
-    monkeypatch.setattr(verify, {"fiedler_vector": "_fiedler", "rewire": "_rewire"}[stage], fails)
+    # a sweep row reaches both stages through their rows entries; a batch
+    # solve that fails is redone a graph at a time, so the first graph fails
+    monkeypatch.setattr(verify, {"fiedler_vector": "_fiedlers", "rewire": "_rewire"}[stage], fails)
     if theorem == "t1":
         name = next(enumerate_graphs(4, is_biconnected)).to_graph6()
         sweep = lambda: verify_theorem_1(4)
@@ -483,46 +490,85 @@ def test_row_errors_name_stage_and_graph(monkeypatch, stage, error, theorem):
     assert str(info.value) == f"{stage} failed at {name}: boom"
 
 
+def test_failed_batch_solve_names_the_graph_that_failed(monkeypatch, tmp_path):
+    # the stacked solve of n = 5's ten classes fails because one matrix
+    # does; solved one at a time, that graph's solve fails under its own
+    # name, carrying its own Laplacian, after the rows before it are written
+    codes = [g.to_graph6() for g in enumerate_graphs(5, is_biconnected)]
+    bad = graph_from_graph6(codes[3]).laplacian().astype(float)
+    eigh = np.linalg.eigh
+
+    def fails_on_bad(a):
+        if any(np.array_equal(m, bad) for m in a.reshape(-1, 5, 5)):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", fails_on_bad)
+    cp = tmp_path / "sweep5.jsonl"
+    with pytest.raises(ConvergenceError) as info:
+        verify_theorem_1(5, checkpoint=str(cp))
+    assert str(info.value).startswith(f"fiedler_vector failed at {codes[3]}: eigensolver failed")
+    assert info.value.matrix.shape == (5, 5)
+    assert np.array_equal(info.value.matrix, bad)
+    assert [json.loads(line)["code"] for line in cp.read_text().splitlines()] == codes[:3]
+
+
 @pytest.mark.parametrize("theorem", ["t1", "t2"])
 def test_row_rejects_fiedler_pair_that_is_not_an_eigenpair(monkeypatch, theorem):
     # a sweep row checks the residual fiedler_vector reports instead of
     # measuring its own; a perturbed vector, with the residual computed
     # from it, must still be refused at the rewire stage
-    fiedler = verify._fiedler
+    fiedlers = verify._fiedlers
 
-    def perturbed(rows):
-        f = fiedler(rows)
+    def perturb(rows, f):
         x = f.vector.copy()
         x[0] += 1e-3
         lap = _graph_from_rows(rows).laplacian().astype(float)
         return replace(f, vector=x, residual=float(np.max(np.abs(lap @ x - f.alpha * x))))
 
-    monkeypatch.setattr(verify, "_fiedler", perturbed)
+    def perturbed(batch):
+        return [perturb(rows, f) for rows, f in zip(batch, fiedlers(batch))]
+
+    monkeypatch.setattr(verify, "_fiedlers", perturbed)
     sweep = verify_theorem_1 if theorem == "t1" else verify_theorem_2
     with pytest.raises(GraphError, match=r"^rewire failed at .*: vector/alpha pair is not an eigenpair"):
         sweep(4)
 
 
+def theta_edges(l1, l2, l3):
+    """The theta graph's edges, written out: poles 0 and l1, the l1 path
+    through 1..l1-1, the l2 path through l1+1..l1+l2-1, the l3 path
+    through the labels above."""
+    n = l1 + l2 + l3 - 1
+    edges = [(i, i + 1) for i in range(l1)]
+    for first, last in ((l1 + 1, l1 + l2 - 1), (l1 + l2, n - 1)):
+        edges += [(0, first), (last, l1)] + [(i, i + 1) for i in range(first, last)]
+    return n, edges
+
+
 def test_theta_rows_are_biconnected():
-    # _theta_row runs the rewiring without rewire's biconnectivity check,
-    # which every theta triple in the sweep's range must therefore pass
+    # a theta row runs the rewiring without rewire's biconnectivity check,
+    # which every theta triple in the sweep's range must therefore pass;
+    # its rows come straight from the triple, and realize uses the same
     for n in range(4, 41):
         for triple in theta_triples(n):
+            rows = _theta_rows(triple)
+            assert rows == graph_from_edges(*theta_edges(*triple))._rows, triple
             g = realize(FamilySpec(FamilyKind.THETA, n, triple))
-            assert g.n == n and is_biconnected(g), triple
+            assert g._rows == rows and g.n == n and is_biconnected(g), triple
 
 
 @pytest.mark.parametrize("theorem", ["t1", "t2"])
 def test_lower_bound_error_names_bound_slack(monkeypatch, theorem):
     # an eigensolver that reports alpha 1e-6 below alpha(C_n) must trip the
     # bound, and the error must name the gap and bound_slack
-    fiedler = verify._fiedler
+    fiedlers = verify._fiedlers
 
-    def low(rows):
-        f = fiedler(rows)
-        return replace(f, alpha=alpha_cycle_closed_form(len(rows)) - 1e-6)
+    def low(batch):
+        alpha = alpha_cycle_closed_form(len(batch[0])) - 1e-6
+        return [replace(f, alpha=alpha) for f in fiedlers(batch)]
 
-    monkeypatch.setattr(verify, "_fiedler", low)
+    monkeypatch.setattr(verify, "_fiedlers", low)
     monkeypatch.setattr(verify, "BOUND_SLACK", 1e-9)
     sweep = verify_theorem_1 if theorem == "t1" else verify_theorem_2
     with pytest.raises(VerificationError) as info:
@@ -682,6 +728,32 @@ def test_json_writer_is_dumps_of_the_report(t1_reports, n):
     write_json(report, buf)
     assert buf.getvalue() == want + "\n"
     assert report_to_json(report) == want
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {"b": [1, [], [2, [3.5]]], "a": {}, "c": {"z": None, "y": [True, False]}},
+        [math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324, 2**70],
+        ["h1:n=9:i=1,3", "tab\tquote\"back\\slash", "caf\u00e9 \u2603"],
+        (np.float64(0.1), (1, 2)),
+        {"100%": [3, -2**70, 0], "%s": {"%%d": []}},
+        [],
+        "",
+    ],
+)
+def test_json_text_is_dumps_indent_2(value):
+    want = json.dumps(value, indent=2, sort_keys=True)
+    assert json_text(value) == want
+    assert json_text(value, "\n    ") == want.replace("\n", "\n    ")
+
+
+def test_json_text_refuses_what_dumps_refuses():
+    for value in (np.int64(3), {1, 2}, object()):
+        with pytest.raises(TypeError):
+            json.dumps(value)
+        with pytest.raises(TypeError):
+            json_text(value)
 
 
 @pytest.mark.parametrize("n_max", [4, 12, 24])
