@@ -15,18 +15,31 @@ certificate records.
 
 rewire validates its input: n >= 4, a biconnected graph, a vector of
 length n, and an eigenpair residual it measures on its own Laplacian.
-The construction and every check on it (the partition, the telescoping
-inequality, the quadratic-form chain, the spanning cycle) live in one
-internal entry, _rewire, which takes the graph's adjacency rows and
-which rewire calls before it builds the certificate. A sweep row calls
-_rewire directly: its graph is biconnected with n >= 4 by construction,
-and the Fiedler solve has measured the same residual on the same
-Laplacian. It builds no certificate and no Graph for G', which _rewire
-keeps as its vertex sequence.
+The construction and every check on it live in one internal entry,
+_rewire, which takes the graph's adjacency rows and which rewire calls
+before it builds the certificate. A sweep row calls _rewire directly:
+its graph is biconnected with n >= 4 by construction, and the Fiedler
+solve has measured the same residual on the same Laplacian. It builds no
+certificate and no Graph for G'.
+
+_rewire keeps C and G' as adjacency rows, each built from its vertex
+sequence, and q_G, q_C and q_G' are quadratic_form over each graph's
+rows, summed in edge-list order. interval_assignment places the
+off-cycle vertices in one sweep along P1 (its docstring). The checks
+are fused:
+- the threading loop checks each list against its pair: x-values that
+  ascend, lie in the pair's range [h, q], and satisfy the squared
+  telescoping inequality (chain_inequality_check);
+- one mask over G''s sequence checks that it has n vertices, none
+  repeated. The sequence is C's vertices and the listed ones, so this
+  is both the partition of the off-cycle set and the spanning cycle;
+- the quadratic-form chain q_G' <= q_C <= q_G.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,7 +47,7 @@ import numpy as np
 
 from .connectivity import _disjoint_paths, hamiltonian_cycle, is_biconnected
 from .errors import GraphError, RewireDefectError
-from .graphs import Graph, _edge_pairs
+from .graphs import Graph, _graph_from_rows
 from .jsontext import json_text
 from .spectra import FiedlerResult, _laplacians, alpha_cycle_closed_form, fiedler_vector, quadratic_form
 
@@ -62,28 +75,61 @@ def interval_assignment(p1, offcycle, x) -> list[list[int]]:
     lo < x(v) <= hi, or with lo_all == lo == x(v) < hi. The first clause
     places every x(v) above lo_all, the second every x(v) at it. Each list
     comes back sorted ascending by (x, vertex index).
+
+    One sweep along P1 applies the rule. The pairs walked so far cover
+    (pmin, pmax], the running range of their x-values, so the first pair
+    whose interval holds an x(v) above lo_all is the one whose end brings
+    x(v) into that range. With the off-cycle vertices sorted once by
+    (x, v), each pair takes the slice of them that its end adds to the
+    range, and the vertices at lo_all go to the first pair with
+    lo == lo_all < hi. Errors come in the order the rule meets the
+    vertices: GraphError for a value below P1's range, RewireDefectError
+    for one at the value of a constant P1, GraphError for one above. A NaN
+    value raises GraphError.
     """
     vec = np.asarray(x, dtype=np.float64).tolist()  # Python floats index faster
-    p1 = list(p1)
-    lo_all = min(vec[v] for v in p1)
-    hi_all = max(vec[v] for v in p1)
-    bounds = [(min(vec[a], vec[b]), max(vec[a], vec[b])) for a, b in zip(p1, p1[1:])]
-    lists: list[list[int]] = [[] for _ in bounds]
-    for v in sorted(offcycle, key=lambda v: (vec[v], v)):
-        xv = vec[v]
-        if not lo_all <= xv <= hi_all:
-            raise GraphError(
-                f"off-cycle vertex {v} has x = {xv!r} outside the extreme "
-                f"range [{lo_all!r}, {hi_all!r}]; not a Fiedler vector of this graph"
-            )
-        for lst, (lo, hi) in zip(lists, bounds):
-            if lo < xv <= hi or lo_all == lo == xv < hi:
-                lst.append(v)
-                break
+    px = [vec[v] for v in p1]
+    order = sorted(offcycle, key=lambda v: (vec[v], v))
+    xo = [vec[v] for v in order]
+    if any(map(math.isnan, px)) or any(map(math.isnan, xo)):
+        raise GraphError("x has a NaN value; not a Fiedler vector of this graph")
+    lo_all, hi_all = min(px), max(px)
+    # order runs: below lo_all, at it, inside (lo_all, hi_all], above
+    at = bisect_left(xo, lo_all)
+    inside = bisect_right(xo, lo_all, at)
+    above = bisect_right(xo, hi_all, inside)
+    if not at and inside and lo_all == hi_all:
+        raise RewireDefectError(
+            f"vertex {order[0]} fits no P1 interval; assignment must partition"
+        )
+    if at or above < len(order):
+        v = order[0 if at else above]
+        raise GraphError(
+            f"off-cycle vertex {v} has x = {vec[v]!r} outside the extreme "
+            f"range [{lo_all!r}, {hi_all!r}]; not a Fiedler vector of this graph"
+        )
+    ties = order[:inside]
+    # the inside vertices not yet placed: order[inside:lo] at or below
+    # pmin, and order[hi:] above pmax
+    pmin = pmax = prev = px[0]
+    lo = hi = bisect_right(xo, pmin, inside)
+    lists = []
+    for xb in px[1:]:
+        if xb < pmin:
+            k = bisect_right(xo, xb, inside, lo)
+            lst = order[k:lo]
+            lo, pmin = k, xb
+        elif xb > pmax:
+            k = bisect_right(xo, xb, hi)
+            lst = order[hi:k]
+            hi, pmax = k, xb
         else:
-            raise RewireDefectError(
-                f"vertex {v} fits no P1 interval; assignment must partition"
-            )
+            lst = []
+        if ties and prev != xb and lo_all in (prev, xb):
+            lst = ties + lst
+            ties = []
+        lists.append(lst)
+        prev = xb
     return lists
 
 
@@ -150,7 +196,7 @@ def rewire(g: Graph, f: FiedlerResult) -> RewireCertificate:
         p1=r.p1,
         p2=r.p2,
         assignments=tuple(tuple(lst) for lst in r.lists),
-        g_prime=Graph(g.n, r.pairs),
+        g_prime=_graph_from_rows(r.rows),
         q_g=r.q_g,
         q_c=r.q_c,
         q_gprime=r.q_gprime,
@@ -167,7 +213,7 @@ class _Rewired(NamedTuple):
     p1: tuple[int, ...]
     p2: tuple[int, ...]
     lists: list[list[int]]
-    pairs: list[tuple[int, int]]  # the edges of G', sorted like an edge_list
+    rows: list[int]  # the adjacency rows of G'
     q_g: float
     q_c: float
     q_gprime: float
@@ -179,9 +225,7 @@ def _rewire(rows, x: np.ndarray, residual: float) -> _Rewired:
 
     residual is max |L x - alpha x| over the graph's Laplacian L. The
     caller has established the rest of rewire's input checks: n >= 4, a
-    biconnected graph, and x of length n (module docstring). G' is kept as
-    its vertex sequence: _cycle_pairs refuses a repeated vertex, so the
-    sequence is one spanning cycle exactly when it has n vertices.
+    biconnected graph, and x of length n (module docstring).
     """
     # NaN fails every comparison, so the check is written to reject it
     if not residual <= 1e-6:
@@ -190,59 +234,69 @@ def _rewire(rows, x: np.ndarray, residual: float) -> _Rewired:
     n = len(rows)
     p1, p2 = _disjoint_paths(rows, v_min, v_max, 2)  # sorted: p1 has the smaller second vertex
     cycle = p1 + tuple(reversed(p2[1:-1]))
-    offcycle = sorted(set(range(n)) - set(cycle))
-
-    lists = interval_assignment(p1, offcycle, x)
-    flat = sorted(v for lst in lists for v in lst)
-    if flat != offcycle:
-        raise RewireDefectError(
-            f"assignment lists do not partition the off-cycle set: "
-            f"{lists!r} vs {offcycle!r}"
-        )
+    c_rows, on = _cycle_rows(cycle, n)
+    lists = interval_assignment(p1, [v for v in range(n) if not on >> v & 1], x)
     xs = x.tolist()
-    for w, lst in enumerate(lists):
-        if not lst:
-            continue
-        a, b = xs[p1[w]], xs[p1[w + 1]]
-        h, q = min(a, b), max(a, b)
-        if not chain_inequality_check(h, [xs[v] for v in lst], q):
-            raise RewireDefectError(
-                f"telescoping inequality failed on pair {w} of P1"
-            )
     seq = _thread(cycle, p1, lists, xs)
-    pairs = _cycle_pairs(seq)
-
-    q_g = quadratic_form(_edge_pairs(rows), xs)
-    q_c = quadratic_form(_cycle_pairs(cycle), xs)
-    q_gp = quadratic_form(pairs, xs)
+    g_rows, seen = _cycle_rows(seq, n)
+    # G' is made of C's vertices and the listed ones, so n of them, none
+    # repeated, is both the partition of the off-cycle set and a cycle
+    # through every vertex: the graph whose alpha the closed form gives
+    if len(seq) != n or seen != (1 << n) - 1:
+        raise RewireDefectError("rewired graph is not a single spanning cycle")
+    q_g = quadratic_form(rows, xs)
+    q_c = quadratic_form(c_rows, xs)
+    q_gp = quadratic_form(g_rows, xs)
     if not (q_gp <= q_c + Q_CHAIN_SLACK and q_c <= q_g + Q_CHAIN_SLACK):
         raise RewireDefectError(
             f"quadratic-form chain violated: q_G' = {q_gp!r}, q_C = {q_c!r}, "
             f"q_G = {q_g!r}"
         )
-    # a cycle through all n vertices, none repeated, is the graph whose
-    # alpha the closed form gives
-    if len(seq) != n:
-        raise RewireDefectError("rewired graph is not a single spanning cycle")
-    return _Rewired(v_min, v_max, cycle, p1, p2, lists, pairs, q_g, q_c, q_gp)
+    return _Rewired(v_min, v_max, cycle, p1, p2, lists, g_rows, q_g, q_c, q_gp)
 
 
-def _cycle_pairs(seq: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Edges of the cycle through seq as (min, max) pairs, sorted like edge_list."""
-    if len(set(seq)) != len(seq):
-        raise RewireDefectError(f"cycle sequence repeats a vertex: {seq!r}")
-    return sorted((a, b) if a < b else (b, a) for a, b in zip(seq, seq[1:] + seq[:1]))
+def _cycle_rows(seq, n: int) -> tuple[list[int], int]:
+    """The n adjacency rows of the cycle through seq, and the mask of the
+    vertices in seq."""
+    rows = [0] * n
+    seen = 0
+    prev = seq[-1]
+    for v in seq:
+        bit = 1 << v
+        rows[v] |= 1 << prev
+        rows[prev] |= bit
+        seen |= bit
+        prev = v
+    return rows, seen
 
 
-def _thread(cycle, p1, lists, x) -> tuple[int, ...]:
-    """G' as a vertex sequence: each P1 pair's list threaded between its ends."""
+def _thread(cycle, p1, lists, xs) -> list[int]:
+    """G' as a vertex sequence: each P1 pair's list threaded between its
+    ends, ascending from the end with smaller x. Each list is checked
+    first, as chain_inequality_check checks its midpoints: its x-values
+    ascend, lie in the pair's range [h, q], and refine (q - h)^2; a list
+    that fails is a RewireDefectError."""
     seq = []
     for w, lst in enumerate(lists):
-        seq.append(p1[w])
-        # ascend from the endpoint with smaller x
-        seq.extend(lst if x[p1[w]] <= x[p1[w + 1]] else reversed(lst))
-    seq.extend(cycle[len(lists):])
-    return tuple(seq)
+        a = p1[w]
+        seq.append(a)
+        if not lst:
+            continue
+        xa, xb = xs[a], xs[p1[w + 1]]
+        h, q = (xa, xb) if xa <= xb else (xb, xa)
+        first, last = xs[lst[0]], xs[lst[-1]]
+        if not (h <= first and last <= q):
+            raise RewireDefectError(f"pair {w} of P1 is handed x-values outside [{h!r}, {q!r}]")
+        refined = (first - h) ** 2 + (q - last) ** 2
+        for u, v in zip(lst, lst[1:]):
+            if xs[v] < xs[u]:
+                raise RewireDefectError(f"pair {w} of P1 is handed x-values out of order")
+            refined += (xs[v] - xs[u]) ** 2
+        if not refined <= (q - h) ** 2 * (1.0 + CHAIN_REL_TOL) + CHAIN_REL_TOL:
+            raise RewireDefectError(f"telescoping inequality failed on pair {w} of P1")
+        seq += lst if xa <= xb else lst[::-1]
+    seq += cycle[len(lists):]
+    return seq
 
 
 @dataclass(frozen=True)

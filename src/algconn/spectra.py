@@ -169,15 +169,21 @@ def rayleigh_quotient(g: Graph, x) -> float:
         raise GraphError(
             f"vector is not orthogonal to all-ones (normalized overlap {ones_overlap:.3e})"
         )
-    return quadratic_form(g.edge_list, vec.tolist()) / float(vec @ vec)
+    return quadratic_form(g._rows, vec.tolist()) / float(vec @ vec)
 
 
-def quadratic_form(pairs, xs: list[float]) -> float:
-    """Sum of (x_u - x_v)^2 over the (u, v) pairs, in the order given."""
+def quadratic_form(rows, xs: list[float]) -> float:
+    """Sum of (x_u - x_v)^2 over the edges (u, v), u < v, of adjacency
+    rows, in edge-list order."""
     total = 0.0
-    for u, v in pairs:
-        d = xs[u] - xs[v]
-        total += d * d
+    for u, row in enumerate(rows):
+        xu = xs[u]
+        above = row >> u + 1
+        while above:
+            low = above & -above
+            d = xu - xs[u + low.bit_length()]
+            total += d * d
+            above ^= low
     return total
 
 

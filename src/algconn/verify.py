@@ -132,19 +132,24 @@ def _family_code_map(n: int) -> dict[str, FamilySpec]:
 
 
 def _verdict(
-    code: str, n: int, alpha: float, spec: FamilySpec | None, hamiltonian: bool
+    code: str,
+    triple: tuple[int, int, int] | None,
+    n: int,
+    alpha: float,
+    spec: FamilySpec | None,
+    hamiltonian: bool,
 ) -> EqualityClass:
     """Bound check and equality verdict of one order-n graph (module docstring).
 
-    spec is the family member the graph is known to be, or None; code
-    names the graph in errors.
+    spec is the family member the graph is known to be, or None; code and
+    triple name the graph in errors (_row_name).
     """
     alpha_ref = alpha_cycle_closed_form(n)
     gap = alpha - alpha_ref
     if not gap >= -BOUND_SLACK:
         raise VerificationError(
-            f"lower bound violated at {code}: gap {gap!r} below -bound_slack = "
-            f"{-BOUND_SLACK!r}, alpha = {alpha!r} < alpha(C_{n}) = {alpha_ref!r}"
+            f"lower bound violated at {_row_name(code, triple)}: gap {gap!r} below "
+            f"-bound_slack = {-BOUND_SLACK!r}, alpha = {alpha!r} < alpha(C_{n}) = {alpha_ref!r}"
         )
     reason = None
     if spec is None:
@@ -152,7 +157,8 @@ def _verdict(
             reason = "alpha matches the cycle but no equality family member does"
     elif abs(gap) > EQUAL_TOL:
         raise VerificationError(
-            f"equality mismatch at {code}: gap {gap!r} outside equal_tol for {spec.to_text()}"
+            f"equality mismatch at {_row_name(code, triple)}: gap {gap!r} outside "
+            f"equal_tol for {spec.to_text()}"
         )
     elif abs(gap) > STRICT_MARGIN:
         reason = "family match with alpha gap inside the ambiguity band"
@@ -161,14 +167,12 @@ def _verdict(
     return EqualityClass(spec, gap, reason)
 
 
-@contextlib.contextmanager
-def _stage(stage: str, name: str):
-    """Prefix an AlgConnError raised inside with the stage and the graph's name."""
-    try:
-        yield
-    except AlgConnError as exc:
-        exc.args = (f"{stage} failed at {name}: {exc}",)
-        raise
+def _name_stage(
+    exc: AlgConnError, stage: str, code: str, triple: tuple[int, int, int] | None
+) -> None:
+    """Prefix exc's message with the stage that raised it and the name of
+    the graph it failed at (_row_name)."""
+    exc.args = (f"{stage} failed at {_row_name(code, triple)}: {exc}",)
 
 
 def _row(
@@ -194,13 +198,15 @@ def _row(
     when that row was written, so only the verdict runs.
     """
     n = len(rows)
-    name = _row_name(code, triple)
     if f is not None:
         alpha = f.alpha
-    eq = _verdict(name, n, alpha, spec, hamiltonian)
+    eq = _verdict(code, triple, n, alpha, spec, hamiltonian)
     if f is not None:
-        with _stage("rewire", name):
+        try:
             _rewire(rows, f.vector, f.residual)
+        except AlgConnError as exc:
+            _name_stage(exc, "rewire", code, triple)
+            raise
     return SweepRow(n, code, alpha, eq, hamiltonian, triple)
 
 
@@ -222,8 +228,11 @@ def _sweep_rows(items: list[tuple]) -> Iterator[SweepRow]:
         solved = [None] * len(items)
     for (rows, code, spec, hamiltonian, triple), f in zip(items, solved):
         if f is None:
-            with _stage("fiedler_vector", _row_name(code, triple)):
+            try:
                 (f,) = _fiedlers([rows])
+            except AlgConnError as exc:
+                _name_stage(exc, "fiedler_vector", code, triple)
+                raise
         yield _row(rows, code, spec, hamiltonian, triple, f=f)
 
 

@@ -14,7 +14,11 @@ package's bitmask flow must reproduce: dense 2n x 2n capacity and flow
 matrices, every BFS step and every decomposition step scanning all 2n
 split nodes. per_bit_graph6 is the graph6 encoder that the package's
 int packer must reproduce: one 0/1 list entry per vertex pair, six bits
-per character, the last one zero-padded. Slow but trustworthy.
+per character, the last one zero-padded. pair_rewire is the rewiring
+construction on sorted pair lists that the package's rows-based one must
+reproduce: scan_interval_assignment tries every P1 pair for each
+off-cycle vertex, and C and G' are sorted (min, max) pair lists. Slow but
+trustworthy.
 """
 
 from __future__ import annotations
@@ -27,9 +31,10 @@ from math import comb, factorial
 import numpy as np
 
 from algconn.canon import canonical_form
-from algconn.connectivity import PathSystem
-from algconn.errors import Graph6Error, GraphError
-from algconn.graphs import Graph, graph_from_graph6
+from algconn.connectivity import PathSystem, _disjoint_paths
+from algconn.errors import Graph6Error, GraphError, RewireDefectError
+from algconn.graphs import Graph, _edge_pairs, graph_from_graph6
+from algconn.rewiring import Q_CHAIN_SLACK, chain_inequality_check, extreme_vertices
 
 
 def pair_index(n: int) -> dict[tuple[int, int], int]:
@@ -620,3 +625,87 @@ def per_bit_graph6_rows(text: str) -> tuple[int, ...]:
                 rows[v] |= 1 << u
             i += 1
     return tuple(rows)
+
+
+def scan_interval_assignment(p1, offcycle, x) -> list[list[int]]:
+    """interval_assignment by scanning: each off-cycle vertex, in (x, v)
+    order, goes to the first P1 pair (lo, hi) with lo < x(v) <= hi, or with
+    lo_all == lo == x(v) < hi, lo_all the least x-value on P1."""
+    vec = np.asarray(x, dtype=np.float64).tolist()
+    p1 = list(p1)
+    lo_all = min(vec[v] for v in p1)
+    hi_all = max(vec[v] for v in p1)
+    bounds = [(min(vec[a], vec[b]), max(vec[a], vec[b])) for a, b in zip(p1, p1[1:])]
+    lists: list[list[int]] = [[] for _ in bounds]
+    for v in sorted(offcycle, key=lambda v: (vec[v], v)):
+        xv = vec[v]
+        if not lo_all <= xv <= hi_all:
+            raise GraphError(f"off-cycle vertex {v} has x = {xv!r} outside [{lo_all!r}, {hi_all!r}]")
+        for lst, (lo, hi) in zip(lists, bounds):
+            if lo < xv <= hi or lo_all == lo == xv < hi:
+                lst.append(v)
+                break
+        else:
+            raise RewireDefectError(f"vertex {v} fits no P1 interval")
+    return lists
+
+
+def _cycle_pairs(seq) -> list[tuple[int, int]]:
+    """Edges of the cycle through seq as (min, max) pairs, sorted."""
+    if len(set(seq)) != len(seq):
+        raise RewireDefectError(f"cycle sequence repeats a vertex: {seq!r}")
+    return sorted((a, b) if a < b else (b, a) for a, b in zip(seq, seq[1:] + seq[:1]))
+
+
+def _pair_quadratic_form(pairs, xs) -> float:
+    """Sum of (x_u - x_v)^2 over the (u, v) pairs, in the order given."""
+    total = 0.0
+    for u, v in pairs:
+        d = xs[u] - xs[v]
+        total += d * d
+    return total
+
+
+def _thread(cycle, p1, lists, x) -> tuple[int, ...]:
+    """G' as a vertex sequence: each P1 pair's list threaded between its ends."""
+    seq = []
+    for w, lst in enumerate(lists):
+        seq.append(p1[w])
+        seq.extend(lst if x[p1[w]] <= x[p1[w + 1]] else reversed(lst))
+    seq.extend(cycle[len(lists):])
+    return tuple(seq)
+
+
+def pair_rewire(rows, x) -> dict:
+    """The rewiring of the graph with these adjacency rows under the Fiedler
+    vector x, built on sorted pair lists, with every check of the
+    construction: v_min, v_max, cycle, p1, p2, lists, the edge set of G'
+    (gprime_edges) and q_g, q_c, q_gprime."""
+    v_min, v_max = extreme_vertices(x)
+    n = len(rows)
+    p1, p2 = _disjoint_paths(rows, v_min, v_max, 2)
+    cycle = p1 + tuple(reversed(p2[1:-1]))
+    offcycle = sorted(set(range(n)) - set(cycle))
+    lists = scan_interval_assignment(p1, offcycle, x)
+    if sorted(v for lst in lists for v in lst) != offcycle:
+        raise RewireDefectError("assignment lists do not partition the off-cycle set")
+    xs = np.asarray(x, dtype=np.float64).tolist()
+    for w, lst in enumerate(lists):
+        if lst:
+            a, b = xs[p1[w]], xs[p1[w + 1]]
+            if not chain_inequality_check(min(a, b), [xs[v] for v in lst], max(a, b)):
+                raise RewireDefectError(f"telescoping inequality failed on pair {w} of P1")
+    seq = _thread(cycle, p1, lists, xs)
+    pairs = _cycle_pairs(seq)
+    q_g = _pair_quadratic_form(_edge_pairs(rows), xs)
+    q_c = _pair_quadratic_form(_cycle_pairs(cycle), xs)
+    q_gp = _pair_quadratic_form(pairs, xs)
+    if not (q_gp <= q_c + Q_CHAIN_SLACK and q_c <= q_g + Q_CHAIN_SLACK):
+        raise RewireDefectError("quadratic-form chain violated")
+    if len(seq) != n:
+        raise RewireDefectError("rewired graph is not a single spanning cycle")
+    return {
+        "v_min": v_min, "v_max": v_max, "cycle": cycle, "p1": p1, "p2": p2,
+        "lists": lists, "gprime_edges": frozenset(pairs),
+        "q_g": q_g, "q_c": q_c, "q_gprime": q_gp,
+    }

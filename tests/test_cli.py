@@ -1,17 +1,20 @@
 """Command-line surface: subcommands, exit codes, file outputs."""
 
+import atexit
 import csv
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import algconn
-from algconn import verify
+from algconn import cli, verify
 from algconn.canon import is_isomorphic
 from algconn.connectivity import is_connected
 from algconn.enumeration import enumerate_graphs
@@ -273,3 +276,31 @@ def test_closed_stdout_exits_1_without_traceback():
         err = proc.stderr.read()
         assert proc.wait(timeout=120) == 1
     assert b"Traceback" not in err
+
+
+def test_exit_hook_registered_once_and_heap_left_alone(capsys, monkeypatch):
+    # main has gc.freeze run at exit, registered once per process, and
+    # in-process calls freeze nothing
+    registered = []
+    monkeypatch.setattr(atexit, "register", registered.append)
+    cli._freeze_heap_at_exit.cache_clear()
+    for _ in range(3):
+        assert main(["theta", "check", C5]) == 0
+    assert registered == [gc.freeze]
+    assert gc.get_freeze_count() == 0
+
+
+def test_module_run_writes_complete_report_files(tmp_path):
+    # the report files are whole when the process has exited: byte-equal to
+    # the writers' output in-process, given the run's own runtimes
+    jpath, cpath = tmp_path / "r.json", tmp_path / "r.csv"
+    proc = run_module("verify", "t2", "--n-max", "6", "--json", str(jpath), "--csv", str(cpath))
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0 and err == b""
+    runtimes = [r["runtime"] for r in json.loads(jpath.read_text())]
+    reports = [replace(r, runtime=t) for r, t in zip(verify.verify_theorem_2(6), runtimes)]
+    want_json, want_csv = io.StringIO(), io.StringIO()
+    verify.write_json(reports, want_json)
+    verify.write_csv(reports, want_csv)
+    assert jpath.read_bytes() == out == want_json.getvalue().encode("ascii")
+    assert cpath.read_bytes() == want_csv.getvalue().encode("ascii")

@@ -2,19 +2,28 @@
 and the quadratic-form certificates."""
 
 import hashlib
+import importlib.util
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oracles
 from golden import DATA, assert_matches_golden
 from test_connectivity import random_ear_graph
 from algconn.canon import is_isomorphic
 from algconn.connectivity import is_biconnected
 from algconn.errors import GraphError, RewireDefectError
-from algconn.families import FamilyKind, FamilySpec, cycle_graph, realize
-from algconn.graphs import complete_graph, graph_from_edges, graph_from_graph6
+from algconn.families import FamilyKind, FamilySpec, _theta_rows, cycle_graph, realize, theta_triples
+from algconn.graphs import (
+    _edge_pairs,
+    _rows_from_graph6,
+    complete_graph,
+    graph_from_edges,
+    graph_from_graph6,
+)
 from algconn import rewiring
 from algconn.rewiring import (
     chain_inequality_check,
@@ -26,7 +35,7 @@ from algconn.rewiring import (
     rewire,
     strictness_report,
 )
-from algconn.spectra import FiedlerResult, alpha_cycle_closed_form, fiedler_vector
+from algconn.spectra import FiedlerResult, _fiedlers, alpha_cycle_closed_form, fiedler_vector
 
 
 def k23():
@@ -118,6 +127,43 @@ class TestIntervalAssignment:
                 hi = max(vals[p1[w]], vals[p1[w + 1]])
                 for v in lst:
                     assert lo <= vals[v] <= hi
+
+
+def test_interval_assignment_matches_scan():
+    # the sweep along P1 against the scan that tries every pair for each
+    # vertex; values on a 5-point grid make ties common, and P1 is a
+    # random sequence of labels that need not start at its minimum
+    rng = random.Random(25)
+    grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+    raised = {GraphError: 0, RewireDefectError: 0}
+    for _ in range(100_000):
+        p1_len = rng.randrange(1, 7)
+        n = p1_len + rng.randrange(0, 6)
+        labels = rng.sample(range(n), n)
+        p1, off = labels[:p1_len], labels[p1_len:]
+        x = [rng.choice(grid) for _ in range(n)]
+        try:
+            want = oracles.scan_interval_assignment(p1, off, x)
+        except (GraphError, RewireDefectError) as exc:
+            with pytest.raises((GraphError, RewireDefectError)) as info:
+                interval_assignment(p1, off, x)
+            assert type(info.value) is type(exc), (p1, off, x)
+            raised[type(exc)] += 1
+            continue
+        assert interval_assignment(p1, off, x) == want, (p1, off, x)
+    # both errors, and mostly inputs that assign
+    assert min(raised.values()) > 1000 and sum(raised.values()) < 50_000
+
+
+def test_interval_assignment_rejects_nan():
+    x = [0.0, 1.0, 0.5, float("nan")]
+    for assign in (interval_assignment, oracles.scan_interval_assignment):
+        with pytest.raises(GraphError):
+            assign([0, 1], [2, 3], x)
+    # a NaN on P1 is refused as well, wherever it sits
+    for p1 in ([3, 0, 1], [0, 3, 1], [0, 1, 3]):
+        with pytest.raises(GraphError):
+            interval_assignment(p1, [2], x)
 
 
 class TestChainInequality:
@@ -247,6 +293,45 @@ class TestRewire:
         with pytest.raises(RewireDefectError, match="single spanning cycle"):
             rewire(g, f)
 
+    def mutated_theta334(self, monkeypatch, name, mutate):
+        """theta(3, 3, 4) and its Fiedler result, with rewiring.<name>'s
+        result passed through mutate. Its P1 is (4, 0, 6, 7), and the
+        first pair gets the list [1, 2]: two distinct x-values inside the
+        pair's range."""
+        g = realize(FamilySpec(FamilyKind.THETA, 9, (3, 3, 4)))
+        f = fiedler_vector(g)
+        original = getattr(rewiring, name)
+        monkeypatch.setattr(rewiring, name, lambda *args: mutate(original(*args)))
+        return g, f
+
+    def test_list_out_of_x_order_rejected(self, monkeypatch):
+        def reverse_first(lists):
+            assert lists[0] == [1, 2]
+            return [lists[0][::-1], *lists[1:]]
+
+        g, f = self.mutated_theta334(monkeypatch, "interval_assignment", reverse_first)
+        with pytest.raises(RewireDefectError, match="out of order"):
+            rewire(g, f)
+
+    def test_midpoint_outside_pair_range_rejected(self, monkeypatch):
+        def move_to_last(lists):
+            assert lists[0] == [1, 2] and lists[-1] == []
+            return [[1], *lists[1:-1], [2]]
+
+        g, f = self.mutated_theta334(monkeypatch, "interval_assignment", move_to_last)
+        with pytest.raises(RewireDefectError, match="outside"):
+            rewire(g, f)
+
+    def test_sequence_repeating_a_vertex_rejected(self, monkeypatch):
+        # n vertices, one of them twice: only the mask of G''s sequence
+        # tells it from a spanning cycle
+        def repeats_one(seq):
+            return [*seq[:-1], seq[0]]
+
+        g, f = self.mutated_theta334(monkeypatch, "_thread", repeats_one)
+        with pytest.raises(RewireDefectError, match="single spanning cycle"):
+            rewire(g, f)
+
     def test_every_biconnected_n5_certificate(self):
         from algconn.enumeration import enumerate_graphs
 
@@ -254,6 +339,50 @@ class TestRewire:
             cert = rewire(g, fiedler_vector(g))
             assert cert.q_gprime <= cert.q_g + 1e-12
             assert is_isomorphic(cert.g_prime, cycle_graph(5))
+
+
+def assert_matches_pair_oracle(batch):
+    """_rewire on each graph of a batch of one order's adjacency rows, under
+    its Fiedler vector, gives the pair-list construction's fields, G''s
+    edge set and bit-equal quadratic forms."""
+    for rows, f in zip(batch, _fiedlers(batch)):
+        got = rewiring._rewire(rows, f.vector, f.residual)
+        want = oracles.pair_rewire(rows, f.vector)
+        for field in ("v_min", "v_max", "cycle", "p1", "p2", "lists"):
+            assert getattr(got, field) == want[field], (rows, field)
+        assert frozenset(_edge_pairs(got.rows)) == want["gprime_edges"], rows
+        for field in ("q_g", "q_c", "q_gprime"):
+            assert getattr(got, field).hex() == want[field].hex(), (rows, field)
+    return len(batch)
+
+
+def test_rewire_matches_pair_oracle_on_biconnected_classes(t1_reports):
+    checked = sum(
+        assert_matches_pair_oracle([_rows_from_graph6(r.code) for r in t1_reports[n].rows])
+        for n in range(4, 9)
+    )
+    assert checked == 7660
+
+
+def test_rewire_matches_pair_oracle_on_theta_graphs():
+    checked = sum(
+        assert_matches_pair_oracle([_theta_rows(t) for t in theta_triples(n)])
+        for n in range(4, 41)
+    )
+    assert checked == 1942
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_rewire_matches_pair_oracle_on_certify_graphs(monkeypatch, seed):
+    # the benchmark's certify stream: 300 seeded 2-connected graphs with
+    # 13 <= n <= 40; sweepbench/child.py imports its neighbours by plain name
+    bench = Path(__file__).resolve().parents[1] / "sweepbench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("sweepbench_child", bench / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    graphs = [graph_from_edges(n, edges) for n, edges in child.certify_inputs(seed)]
+    assert sum(assert_matches_pair_oracle([g._rows]) for g in graphs) == 300
 
 
 def test_certificates_match_golden():
