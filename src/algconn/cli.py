@@ -76,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         if name == "t1":
             p.add_argument("--n", type=int, required=True)
-            p.add_argument("--jobs", type=int, default=1)
             p.add_argument("--checkpoint", help="JSONL row cache for resumable sweeps")
         else:
             p.add_argument("--n-max", type=int, required=True)
@@ -129,7 +128,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_verify(args) -> int:
     # t1 writes one report object; t2 a list, one report per order
     if args.verify_command == "t1":
-        data = verify_theorem_1(args.n, jobs=args.jobs, checkpoint=args.checkpoint)
+        data = verify_theorem_1(args.n, checkpoint=args.checkpoint)
         reports = [data]
     else:
         data = reports = verify_theorem_2(args.n_max)

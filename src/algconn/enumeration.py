@@ -24,6 +24,8 @@ child outranks k by f and is a non-cut vertex, so it is accepted. Ties
 let several children of one class through; the set of canonical codes
 removes those duplicates. Levels are cached per process, except that a
 build given an rng shuffles and rebuilds every level and caches none.
+An unfiltered level that does not hold the known number of classes
+(CONNECTED_CLASS_COUNTS) raises VerificationError instead.
 
 One child per orbit: an automorphism s of P, extended by k -> k, maps
 the child of mask M onto the child of mask s(M), so the masks in one
@@ -57,10 +59,15 @@ from typing import Callable, Iterator
 
 from .canon import _canonical_code, automorphism_generators
 from .connectivity import connected_within
-from .errors import OrderLimitError, as_index
+from .errors import OrderLimitError, VerificationError, as_index
 from .graphs import Graph, _graph_from_rows, _rows_from_graph6, graph_from_graph6
 
 ENUMERATION_LIMIT = 9
+
+# the number of isomorphism classes of each order up to ENUMERATION_LIMIT:
+# connected graphs (OEIS A001349) and biconnected graphs (OEIS A002218)
+CONNECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117, 9: 261080}
+BICONNECTED_CLASS_COUNTS = {4: 3, 5: 10, 6: 56, 7: 468, 8: 7123, 9: 194066}
 
 _level_cache: dict[int, tuple[str, ...]] = {}
 
@@ -103,9 +110,20 @@ def _connected_codes(
             if predicate is None or predicate(_graph_from_rows(rows)):
                 out.add(_canonical_code(rows))
     codes = tuple(sorted(out))
+    if predicate is None:
+        _check_class_count(n, len(codes), CONNECTED_CLASS_COUNTS, "connected")
     if cacheable:
         _level_cache[n] = codes
     return codes
+
+
+def _check_class_count(n: int, count: int, counts: dict[int, int], kind: str) -> None:
+    """Raise VerificationError unless count is the known number of kind
+    classes of order n, counts[n]."""
+    if count != counts[n]:
+        raise VerificationError(
+            f"{kind} classes of order n = {n}: enumerated {count}, expected {counts[n]}"
+        )
 
 
 def _orbit_minima(masks: list[int], gens: list[tuple[int, ...]], k: int) -> list[int]:
@@ -224,5 +242,6 @@ def _order(n) -> int:
 
 
 def count_classes(n: int, predicate: Callable[[Graph], bool]) -> int:
-    return sum(1 for _ in enumerate_graphs(n, predicate))
+    """The number of classes class_codes(n, predicate) gives."""
+    return len(class_codes(n, predicate))
 

@@ -58,7 +58,8 @@ class RewireDefectError(AlgConnError):
 
 
 class VerificationError(AlgConnError):
-    """A verification sweep found a bound violation or equality mismatch."""
+    """A verification sweep found a bound violation, an equality mismatch
+    or a class count other than the known one."""
 
 
 def as_index(value, error: type[AlgConnError], what: str) -> int:

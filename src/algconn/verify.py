@@ -8,11 +8,14 @@ triples, where the equality set is exactly the triples containing a
 length-1 path.
 
 One function builds every row of both sweeps, computed or resumed from a
-checkpoint, and gives it the one verdict. Computed rows come a batch at a
-time, a CHUNK_ROWS slice of one order's class codes or theta triples:
-one stacked eigensolve gives the batch's Fiedler vectors, and then each
-row in turn gets its verdict and rewiring and reaches the checkpoint. A
-report holds its theorem, order, rows and runtime; its count, minimum
+checkpoint, and gives it the one verdict. Computed rows come from one
+loop, _sweep_rows, which pulls the graphs of one order CHUNK_ROWS at a
+time from a lazy iterable (class codes or theta triples, decoded as they
+are pulled): one stacked eigensolve gives the batch's Fiedler vectors,
+and then each row in turn gets its verdict and rewiring and reaches the
+checkpoint, so the checkpoint advances one row at a time. A biconnected
+sweep first checks that it has every class of its order (OEIS A002218).
+A report holds its theorem, order, rows and runtime; its count, minimum
 alpha and flagged list derive from the rows, and alpha(C_n) from the
 order. The verdict knows the family member the graph is, or that it is
 none, from canonical-form identity (biconnected sweep) or from its triple
@@ -46,7 +49,7 @@ from typing import Iterator
 
 from .canon import ORDER_LIMIT, _canonical_code, canonical_form
 from .connectivity import _hamiltonian_cycle, is_biconnected
-from .enumeration import ENUMERATION_LIMIT, class_codes
+from .enumeration import BICONNECTED_CLASS_COUNTS, ENUMERATION_LIMIT, _check_class_count, class_codes
 from .errors import AlgConnError, VerificationError, as_index
 from .families import (
     FamilySpec,
@@ -63,9 +66,7 @@ from .spectra import FiedlerResult, _fiedlers, alpha_cycle_closed_form
 NOT_EXTREMAL = "not_extremal"
 
 # rows per batch: one stacked eigensolve, whose arrays hold CHUNK_ROWS
-# n x n matrices, and one task a --jobs pool sends a worker; under a pool
-# the checkpoint advances a chunk at a time, and an interrupt loses the
-# chunks still in flight
+# n x n matrices; a sweep holds no more than one batch of graphs
 CHUNK_ROWS = 64
 
 
@@ -214,31 +215,29 @@ def _row_name(code: str, triple: tuple[int, int, int] | None) -> str:
     return code if triple is None else f"theta{triple} ({code})"
 
 
-def _sweep_rows(items: list[tuple]) -> Iterator[SweepRow]:
-    """The rows of a nonempty batch of sweep graphs of one order, each item
-    _row's (rows, code, spec, hamiltonian, triple): one stacked Fiedler
-    solve, then each row, yielded as its verdict and rewiring finish.
+def _sweep_rows(items) -> Iterator[SweepRow]:
+    """The rows of sweep graphs of one order, each item _row's (rows, code,
+    spec, hamiltonian, triple), pulled from the iterable items CHUNK_ROWS
+    at a time: one stacked Fiedler solve per batch, then each row, yielded
+    as its verdict and rewiring finish.
 
     A stacked solve that fails does not say which graph failed, so the
-    graphs are then solved one at a time, each under its own name.
+    batch's graphs are then solved one at a time, each under its own name.
     """
-    try:
-        solved = _fiedlers([rows for rows, *_ in items])
-    except AlgConnError:
-        solved = [None] * len(items)
-    for (rows, code, spec, hamiltonian, triple), f in zip(items, solved):
-        if f is None:
-            try:
-                (f,) = _fiedlers([rows])
-            except AlgConnError as exc:
-                _name_stage(exc, "fiedler_vector", code, triple)
-                raise
-        yield _row(rows, code, spec, hamiltonian, triple, f=f)
-
-
-def _chunks(items: list) -> list[list]:
-    """items in CHUNK_ROWS slices, the batches of a sweep."""
-    return [items[i : i + CHUNK_ROWS] for i in range(0, len(items), CHUNK_ROWS)]
+    items = iter(items)
+    while batch := list(itertools.islice(items, CHUNK_ROWS)):
+        try:
+            solved = _fiedlers([rows for rows, *_ in batch])
+        except AlgConnError:
+            solved = [None] * len(batch)
+        for (rows, code, spec, hamiltonian, triple), f in zip(batch, solved):
+            if f is None:
+                try:
+                    (f,) = _fiedlers([rows])
+                except AlgConnError as exc:
+                    _name_stage(exc, "fiedler_vector", code, triple)
+                    raise
+            yield _row(rows, code, spec, hamiltonian, triple, f=f)
 
 
 def classify_equality(g: Graph) -> EqualityClass:
@@ -252,7 +251,7 @@ def classify_equality(g: Graph) -> EqualityClass:
         raise VerificationError(f"equality classification covers 4 <= n, got n = {g.n}")
     if not is_biconnected(g):
         raise VerificationError("equality classification expects a biconnected graph")
-    return next(_biconnected_rows([canonical_form(g)])).equality
+    return next(_sweep_rows([_biconnected_item(canonical_form(g))])).equality
 
 
 def _biconnected_item(code: str) -> tuple:
@@ -260,16 +259,6 @@ def _biconnected_item(code: str) -> tuple:
     rows = _rows_from_graph6(code)
     spec = _family_code_map(len(rows)).get(code)
     return rows, code, spec, _hamiltonian_cycle(rows) is not None, None
-
-
-def _biconnected_rows(codes) -> Iterator[SweepRow]:
-    """The rows of a nonempty batch of one order's class codes (_sweep_rows)."""
-    return _sweep_rows([_biconnected_item(c) for c in codes])
-
-
-def _biconnected_chunk(codes) -> list[SweepRow]:
-    """_biconnected_rows as a list, which a --jobs worker can send back."""
-    return list(_biconnected_rows(codes))
 
 
 def _load_checkpoint(path: str, n: int, codes: set[str]) -> dict[str, SweepRow]:
@@ -310,15 +299,12 @@ def _load_checkpoint(path: str, n: int, codes: set[str]) -> dict[str, SweepRow]:
     return done
 
 
-def verify_theorem_1(
-    n: int,
-    jobs: int = 1,
-    checkpoint: str | None = None,
-) -> VerificationReport:
+def verify_theorem_1(n: int, checkpoint: str | None = None) -> VerificationReport:
     """Sweep all biconnected classes of order n against the cycle bound.
 
-    Raises VerificationError on any bound violation or when the equality
-    set differs from the chorded-cycle families. Rows stream to the
+    Raises VerificationError when the enumeration does not give the known
+    number of classes, on any bound violation, or when the equality set
+    differs from the chorded-cycle families. Rows stream to the
     checkpoint file as they finish, so an interrupted sweep resumes there;
     resumed rows get the same checks and verdict as computed ones.
     """
@@ -327,31 +313,21 @@ def verify_theorem_1(
         raise VerificationError(
             f"biconnected sweep covers 4 <= n <= {ENUMERATION_LIMIT}, got n = {n}"
         )
-    # a pool forks all its workers at the first submit
-    cpus = os.cpu_count() or 1
-    jobs = as_index(jobs, VerificationError, "jobs")
-    if not 1 <= jobs <= cpus:
-        raise VerificationError(f"jobs must lie in 1..{cpus} (the CPU count), got {jobs}")
     start = time.monotonic()
     codes = class_codes(n, is_biconnected)
+    _check_class_count(n, len(codes), BICONNECTED_CLASS_COUNTS, "biconnected")
     done: dict[str, SweepRow] = {}
     if checkpoint and os.path.exists(checkpoint):
         done = _load_checkpoint(checkpoint, n, set(codes))
     todo = [c for c in codes if c not in done]
-    chunks = _chunks(todo)
-    with contextlib.ExitStack() as stack:
-        # line-buffered: each finished row reaches the file before the next
-        # starts, so an interrupted sweep loses none of them
-        sink = checkpoint and stack.enter_context(open(checkpoint, "a", encoding="ascii", buffering=1))
-        if jobs > 1 and todo:
-            # imported here: it loads logging and threading, which only a pool needs
-            import concurrent.futures
-
-            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=jobs))
-            results = itertools.chain.from_iterable(pool.map(_biconnected_chunk, chunks))
-        else:
-            results = itertools.chain.from_iterable(map(_biconnected_rows, chunks))
-        for row in results:
+    # line-buffered: each finished row reaches the file before the next
+    # starts, so an interrupted sweep loses none of them
+    with (
+        open(checkpoint, "a", encoding="ascii", buffering=1)
+        if checkpoint
+        else contextlib.nullcontext()
+    ) as sink:
+        for row in _sweep_rows(map(_biconnected_item, todo)):
             done[row.code] = row
             if sink:
                 sink.write(json.dumps(_row_to_dict(row)) + "\n")
@@ -385,10 +361,7 @@ def verify_theorem_2(n_max: int) -> list[VerificationReport]:
     reports = []
     for n in range(4, n_max + 1):
         start = time.monotonic()
-        rows = []
-        for chunk in _chunks(theta_triples(n)):
-            rows += _sweep_rows([_theta_item(t) for t in chunk])
-        rows = tuple(sorted(rows, key=lambda r: r.code))
+        rows = tuple(sorted(_sweep_rows(map(_theta_item, theta_triples(n))), key=lambda r: r.code))
         reports.append(VerificationReport("t2", n, rows, time.monotonic() - start))
     return reports
 

@@ -156,11 +156,13 @@ class TestVerify:
 
     def test_t1_jobs_and_checkpoint(self, capsys, tmp_path):
         cp = tmp_path / "rows.jsonl"
-        code, out, _ = run(
-            capsys, "verify", "t1", "--n", "5", "--jobs", "2", "--checkpoint", str(cp)
-        )
+        code, out, _ = run(capsys, "verify", "t1", "--n", "5", "--checkpoint", str(cp))
         assert code == 0
         assert len(cp.read_text().splitlines()) == 10
+        # the sweep has one serial path and no --jobs option
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "t1", "--n", "5", "--jobs", "2"])
+        assert exc.value.code == 2
 
     def test_t1_edited_checkpoint_exits_1(self, capsys, tmp_path):
         cp = tmp_path / "rows.jsonl"
@@ -250,21 +252,39 @@ def test_console_script_installed():
     assert proc.stdout == "false\n"
 
 
-def run_module(*args):
-    """Start `python -m algconn ARGS` on the package these tests import."""
+def package_env():
+    """os.environ for a child Python that imports the package these tests import."""
     src = str(Path(algconn.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_module(*args):
+    """Start `python -m algconn ARGS` on the package these tests import."""
     return subprocess.Popen(
         [sys.executable, "-m", "algconn", *args],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=package_env(),
     )
 
 
 def test_python_dash_m_runs_the_cli():
     out, err = run_module("theta", "check", "5; 0-1, 1-2, 2-3, 3-4, 0-4").communicate(timeout=120)
     assert (out, err) == (b"false\n", b"")
+
+
+def test_cli_import_loads_no_logging_or_process_pools():
+    # every launch pays for what the CLI imports, so none of these heavy
+    # modules may come in with it
+    code = (
+        "import sys, algconn.cli; "
+        "print(*[m for m in ('logging', 'concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=package_env(), timeout=120
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
 
 
 def test_closed_stdout_exits_1_without_traceback():

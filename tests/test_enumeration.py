@@ -17,7 +17,7 @@ from algconn.enumeration import (
     count_classes,
     enumerate_graphs,
 )
-from algconn.errors import OrderLimitError
+from algconn.errors import OrderLimitError, VerificationError
 from algconn.graphs import graph_from_graph6
 
 CONNECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
@@ -222,6 +222,24 @@ def test_frozen_regression_counts():
     for n, want in BICONNECTED_CLASS_COUNTS.items():
         if n <= 7:
             assert count_classes(n, is_biconnected) == want
+
+
+def test_level_checks_its_class_count(cold_level_cache, monkeypatch):
+    # a canonical form that gives two classes one code loses a class
+    # without any child failing; an unfiltered level counts its classes,
+    # and a level that fails the count is not cached
+    a, b = _connected_codes(5)[:2]
+    del enumeration._level_cache[5]
+    canonical = enumeration._canonical_code
+
+    def merged(rows):
+        code = canonical(rows)
+        return a if code == b else code
+
+    monkeypatch.setattr(enumeration, "_canonical_code", merged)
+    with pytest.raises(VerificationError, match="order n = 5: enumerated 20, expected 21"):
+        _connected_codes(5)
+    assert 5 not in enumeration._level_cache
 
 
 @pytest.mark.slow

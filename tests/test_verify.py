@@ -1,6 +1,5 @@
 """Sweep harness behavior: classification verdicts, reports, serialization."""
 
-import concurrent.futures
 import csv
 import gc
 import gzip
@@ -8,7 +7,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -18,7 +16,8 @@ import pytest
 from golden import DATA, assert_matches_golden
 from algconn.canon import canonical_form
 from algconn.connectivity import hamiltonian_cycle, is_biconnected
-from algconn.enumeration import enumerate_graphs
+from algconn import enumeration
+from algconn.enumeration import class_codes, enumerate_graphs
 from algconn.errors import ConvergenceError, GraphError, RewireDefectError, VerificationError
 from algconn.families import (
     FamilyKind,
@@ -176,32 +175,61 @@ def test_sweep_deterministic():
     assert a.flagged == b.flagged
 
 
-def test_sweep_parallel_matches_serial():
-    serial = verify_theorem_1(5)
-    parallel = verify_theorem_1(5, jobs=2)
-    assert parallel.rows == serial.rows
-
-
-def test_sweep_pool_sends_bounded_chunks(t1_small, monkeypatch, tmp_path):
-    # the chunk size is fixed, not a share of the sweep, and neither the
-    # rows nor the checkpoint's order depend on it; each task is one chunk
-    # of codes, and every chunk but the last is full
+def test_sweep_batches_bounded_and_checkpoint_in_code_order(t1_small, monkeypatch, tmp_path):
+    # the batch size is fixed, not a share of the sweep, and neither the
+    # rows nor the checkpoint's order depend on it; every batch but the
+    # last is full
     monkeypatch.setattr(verify, "CHUNK_ROWS", 5)
-    pool_map, sizes = concurrent.futures.ProcessPoolExecutor.map, []
+    fiedlers, sizes = verify._fiedlers, []
 
-    def recorded(self, fn, chunks, **kwargs):
-        chunks = list(chunks)
-        sizes.extend({len(chunk) for chunk in chunks[:-1]})
-        return pool_map(self, fn, chunks, **kwargs)
+    def recorded(batch):
+        sizes.append(len(batch))
+        return fiedlers(batch)
 
-    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "map", recorded)
+    monkeypatch.setattr(verify, "_fiedlers", recorded)
     cp = tmp_path / "sweep6.jsonl"
-    report = verify_theorem_1(6, jobs=2, checkpoint=str(cp))
-    assert sizes == [5]
+    report = verify_theorem_1(6, checkpoint=str(cp))
+    assert sizes == [5] * 11 + [1]
     assert report.rows == t1_small[6].rows
     assert [json.loads(line)["code"] for line in cp.read_text().splitlines()] == [
         r.code for r in report.rows
     ]
+
+
+def test_sweep_rows_pull_one_batch_at_a_time(t1_reports):
+    # the sweep never holds more than one batch of graphs: at n = 9 the
+    # whole order is 194,066 of them
+    codes = class_codes(7, is_biconnected)
+    pulled = 0
+
+    def items():
+        nonlocal pulled
+        for code in codes:
+            pulled += 1
+            yield verify._biconnected_item(code)
+
+    rows = verify._sweep_rows(items())
+    assert pulled == 0
+    first = next(rows)
+    assert pulled <= verify.CHUNK_ROWS < len(codes)
+    assert (first, *rows) == t1_reports[7].rows
+    assert pulled == len(codes)
+
+
+def test_sweep_checks_its_class_count(t1_small, monkeypatch):
+    # a level builder that gives two classes one code loses a class
+    # without any row failing; the sweep counts its classes and refuses
+    a, b = (r.code for r in t1_small[6].rows[:2])
+    canonical = enumeration._canonical_code
+
+    def merged(rows):
+        code = canonical(rows)
+        return a if code == b else code
+
+    monkeypatch.setattr(enumeration, "_level_cache", {})
+    monkeypatch.setattr(enumeration, "_canonical_code", merged)
+    with pytest.raises(VerificationError, match="order n = 6: enumerated 55, expected 56"):
+        verify_theorem_1(6)
 
 
 def test_sweep_checkpoint_resume(tmp_path):
@@ -412,18 +440,6 @@ def test_records_store_only_what_was_measured(t1_small):
     assert enumeration_names == ["count_classes", "enumerate_graphs"]
 
 
-@pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1, 5000, 1.5])
-def test_sweep_jobs_validated_before_pool(monkeypatch, jobs):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("process pool constructed")
-
-    # verify imports concurrent.futures only for a pool, and looks the
-    # executor up on the module then
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    with pytest.raises(VerificationError, match=f"got {jobs}"):
-        verify_theorem_1(4, jobs=jobs)
-
-
 def test_sweep_flags_survive_to_report(monkeypatch):
     monkeypatch.setattr(verify, "EQUAL_TOL", 10.0)
     report = verify_theorem_1(4)
@@ -447,6 +463,10 @@ def test_sweep_raises_when_equality_class_missing(monkeypatch):
         return tuple(c for c in codes_all(n, predicate) if c != cycle)
 
     monkeypatch.setattr(verify, "class_codes", without_cycle)
+    with pytest.raises(VerificationError, match="order n = 5: enumerated 9, expected 10"):
+        verify_theorem_1(5)
+    # past a class count that agrees, the equality set still catches it
+    monkeypatch.setitem(verify.BICONNECTED_CLASS_COUNTS, 5, 9)
     with pytest.raises(VerificationError) as info:
         verify_theorem_1(5)
     assert str(info.value) == f"equality set mismatch at n = 5: missing {[cycle]}"
