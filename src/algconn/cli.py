@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Graphs are accepted as graph6 strings or edge-list text ("n; u-v, u-v").
-Exit codes: 0 success, 1 computation or verification failure, or stdout
-closed by its reader (no traceback), 2 usage.
+Exit codes: 0 success, 1 computation or verification failure, an output
+or checkpoint file that cannot be opened, or stdout closed by its reader
+(no traceback), 2 usage.
 
 main has gc.freeze run at interpreter exit, registered once per process.
 The heap then holds the tens of thousands of objects that numpy and the
@@ -21,7 +22,6 @@ import functools
 import gc
 import json
 import os
-import random
 import sys
 
 from .connectivity import is_biconnected, is_connected, is_theta
@@ -65,7 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--predicate", choices=sorted(_PREDICATES), default="biconnected")
     p.add_argument("--out", help="write to a file instead of stdout")
-    p.add_argument("--seed", type=int, help="shuffle branching order (output identical)")
 
     ver = sub.add_parser("verify", help="theorem verification sweeps")
     ver_sub = ver.add_subparsers(dest="verify_command", required=True)
@@ -116,9 +115,8 @@ def _cmd_rewire(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    rng = random.Random(args.seed) if args.seed is not None else None
     # a class's canonical code is its graph6 line
-    codes = class_codes(args.n, _PREDICATES[args.predicate], rng)
+    codes = class_codes(args.n, _PREDICATES[args.predicate])
     with contextlib.ExitStack() as stack:
         out = stack.enter_context(open(args.out, "w", encoding="ascii")) if args.out else sys.stdout
         out.writelines(code + "\n" for code in codes)
@@ -176,9 +174,10 @@ def main(argv=None) -> int:
         # so that the interpreter's flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-
-
-cli_dispatch = main
+    except OSError as exc:
+        # an output or checkpoint file that cannot be opened or written
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

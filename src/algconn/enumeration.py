@@ -22,10 +22,13 @@ connected, so its class has a representative P in level n-1, and some
 mask rebuilds G from P with v* in the role of k. No vertex of that
 child outranks k by f and is a non-cut vertex, so it is accepted. Ties
 let several children of one class through; the set of canonical codes
-removes those duplicates. Levels are cached per process, except that a
-build given an rng shuffles and rebuilds every level and caches none.
-An unfiltered level that does not hold the known number of classes
-(CONNECTED_CLASS_COUNTS) raises VerificationError instead.
+removes those duplicates. Levels are cached per process. Every level
+built with a known table of class counts is counted against it, and one
+that does not hold the known number of classes raises VerificationError
+instead: an unfiltered or connected level against CONNECTED_CLASS_COUNTS
+(OEIS A001349), a biconnected one against BICONNECTED_CLASS_COUNTS
+(A002218). Other predicates, and orders a table does not list, go
+unchecked.
 
 One child per orbit: an automorphism s of P, extended by k -> k, maps
 the child of mask M onto the child of mask s(M), so the masks in one
@@ -37,7 +40,7 @@ reads Aut(P)'s generators off its tied leaves
 (canon.automorphism_generators). Each generator acts on masks through a
 2^k-entry table, and a parent with no generator tries every mask. The
 least mask of an orbit does not depend on the order masks are met in, so
-a seeded build canonicalizes the same children as a plain one. Most
+a shuffled build canonicalizes the same children as a plain one. Most
 duplicate children of one parent are such orbit mates; the set of codes
 removes the rest.
 
@@ -47,9 +50,13 @@ order n is tested, and only those that pass get a canonical form. That
 is sound because the predicate must be an isomorphism invariant, so the
 accepted children of one class pass or fail together. The levels below
 stay unfiltered and cached; a filtered level never enters the cache. It
-is built only when level n is not cached already: a cached level is
-filtered by decoding each of its codes once, testing that graph and
-yielding it (or its code), which costs far less than building the level.
+is built only when level n is not cached already: class_codes, the one
+reader of the cache besides the builder, filters a cached level by
+decoding each of its codes once and testing that graph, which costs far
+less than building the level. Such a level comes from a counted
+unfiltered one, so it is not counted again. Only enumerate_graphs takes
+an rng, for tests: it then decodes a rebuild that shuffles every level's
+parents and masks and caches none.
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ import random
 from typing import Callable, Iterator
 
 from .canon import _canonical_code, automorphism_generators
-from .connectivity import connected_within
+from .connectivity import connected_within, is_biconnected, is_connected
 from .errors import OrderLimitError, VerificationError, as_index
 from .graphs import Graph, _graph_from_rows, _rows_from_graph6, graph_from_graph6
 
@@ -81,8 +88,9 @@ def _connected_codes(
 
     With a predicate, level n is built and each accepted child of order
     n is tested before its canonical form is computed; that result is
-    not cached. enumerate_graphs and class_codes filter a cached level
-    themselves.
+    not cached. class_codes filters a cached level itself. A level built
+    without a predicate, or with is_connected or is_biconnected, is
+    counted against its table of known class counts.
     """
     cacheable = rng is None and predicate is None
     if cacheable and n in _level_cache:
@@ -110,8 +118,10 @@ def _connected_codes(
             if predicate is None or predicate(_graph_from_rows(rows)):
                 out.add(_canonical_code(rows))
     codes = tuple(sorted(out))
-    if predicate is None:
+    if predicate is None or predicate is is_connected:
         _check_class_count(n, len(codes), CONNECTED_CLASS_COUNTS, "connected")
+    elif predicate is is_biconnected and n in BICONNECTED_CLASS_COUNTS:
+        _check_class_count(n, len(codes), BICONNECTED_CLASS_COUNTS, "biconnected")
     if cacheable:
         _level_cache[n] = codes
     return codes
@@ -197,39 +207,25 @@ def enumerate_graphs(
     predicate: Callable[[Graph], bool],
     rng: random.Random | None = None,
 ) -> Iterator[Graph]:
-    """Yield one canonical representative per connected class passing the
-    predicate, in canonical-code order.
-
-    The predicate is applied within the connected classes; disconnected
-    graphs are never produced. It must be an isomorphism invariant, since
-    any one labelling of a class decides it: a cached level n is filtered
-    by its canonical representatives, each decoded once, and otherwise each accepted child of
-    order n is tested before its canonical form is computed. A filtered
-    level is never cached. Passing an rng permutes internal branching
-    order (a robustness knob for tests); the emitted set is unchanged.
-    """
+    """Yield the classes class_codes(n, predicate) gives, decoded. Given an
+    rng, decode instead a rebuild that shuffles every level's parents and
+    masks and caches none (a robustness knob for tests); the codes are
+    the same."""
     n = _order(n)
-    if rng is None and n in _level_cache:
-        # each cached code is decoded once: the graph tested is the one yielded
-        yield from filter(predicate, map(graph_from_graph6, _level_cache[n]))
-    else:
-        for code in _connected_codes(n, rng, predicate):
-            yield graph_from_graph6(code)
+    codes = class_codes(n, predicate) if rng is None else _connected_codes(n, rng, predicate)
+    yield from map(graph_from_graph6, codes)
 
 
-def class_codes(
-    n: int,
-    predicate: Callable[[Graph], bool],
-    rng: random.Random | None = None,
-) -> tuple[str, ...]:
-    """The canonical codes of the classes enumerate_graphs(n, predicate,
-    rng) yields, in the same order. A level built for this call hands its
-    codes over undecoded; a cached level decodes each code once, for the
-    predicate."""
+def class_codes(n: int, predicate: Callable[[Graph], bool]) -> tuple[str, ...]:
+    """The canonical codes of the connected classes of order n that pass
+    the predicate, in code order; the predicate must be an isomorphism
+    invariant, since one labelling decides each class. A level built for
+    this call hands its codes over undecoded; a cached level decodes each
+    code once, for the predicate."""
     n = _order(n)
-    if rng is None and n in _level_cache:
+    if n in _level_cache:
         return tuple(c for c in _level_cache[n] if predicate(graph_from_graph6(c)))
-    return _connected_codes(n, rng, predicate)
+    return _connected_codes(n, predicate=predicate)
 
 
 def _order(n) -> int:

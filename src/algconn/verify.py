@@ -41,6 +41,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -266,11 +267,12 @@ def _load_checkpoint(path: str, n: int, codes: set[str]) -> dict[str, SweepRow]:
 
     A resumed row is built by _row, as a computed one is, from its stored
     code and alpha: a fresh Hamiltonian search and the verdict, without
-    the Fiedler solve and rewire. Its line must then
-    equal that row's _row_to_dict in every field, and its code must be one
-    of codes, the sweep's classes. Rows end in a newline, so text after the
-    last one is a row cut short by an interrupt: it is dropped, and the
-    file is truncated to the last complete line so new rows append cleanly.
+    the Fiedler solve and rewire. Its alpha must be a finite float, its
+    line must then equal that row's _row_to_dict in every field, and its
+    code must be one of codes, the sweep's classes. Rows end in a newline,
+    so text after the last one is a row cut short by an interrupt: it is
+    dropped, and the file is truncated to the last complete line so new
+    rows append cleanly.
     Any other line that does not hold a valid row raises VerificationError.
     """
     with open(path, "rb") as fh:
@@ -290,6 +292,9 @@ def _load_checkpoint(path: str, n: int, codes: set[str]) -> dict[str, SweepRow]:
             if code not in codes:
                 raise VerificationError(f"code {code!r} is not a class of the order-{n} sweep")
             row = _row(*_biconnected_item(code), alpha=stored["alpha"])
+            # _row refuses a NaN alpha already, as a bound violation
+            if type(row.alpha) is not float or not math.isfinite(row.alpha):
+                raise VerificationError(f"alpha {row.alpha!r} is not a finite float")
             for field, derived in _row_to_dict(row).items():
                 if stored[field] != derived:
                     raise VerificationError(f"{field} {stored[field]!r} does not match {derived!r}")

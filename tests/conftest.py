@@ -21,6 +21,28 @@ def canonical_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def merge_two_classes(monkeypatch):
+    """merge_two_classes(n, predicate): empty the level cache, and have
+    level construction give the second class of order n that passes the
+    predicate the first one's code. A level that holds both then loses a
+    class without any child failing."""
+
+    def merge(n, predicate):
+        monkeypatch.setattr(enumeration, "_level_cache", {})
+        a, b = enumeration.class_codes(n, predicate)[:2]
+        monkeypatch.setattr(enumeration, "_level_cache", {})
+        canonical = enumeration._canonical_code
+
+        def merged(rows):
+            code = canonical(rows)
+            return a if code == b else code
+
+        monkeypatch.setattr(enumeration, "_canonical_code", merged)
+
+    return merge
+
+
 @pytest.fixture(scope="session")
 def t1_reports():
     """Full minimality sweeps for n = 4..8, computed once per session.

@@ -16,9 +16,9 @@ import pytest
 import algconn
 from algconn import cli, verify
 from algconn.canon import is_isomorphic
-from algconn.connectivity import is_connected
+from algconn.connectivity import is_biconnected, is_connected
 from algconn.enumeration import enumerate_graphs
-from algconn.cli import cli_dispatch, main
+from algconn.cli import main
 from algconn.families import cycle_graph, realize, parse_family_text
 from algconn.graphs import graph_from_graph6
 
@@ -125,24 +125,29 @@ class TestEnumerate:
         assert code == 0 and out == ""
         assert len(target.read_text().splitlines()) == 3
 
-    def test_seed_does_not_change_output(self, capsys, canonical_calls):
-        _, plain, _ = run(capsys, "enumerate", "--n", "5")
-        canonical_calls.clear()
-        _, seeded, _ = run(capsys, "enumerate", "--n", "5", "--seed", "3")
-        # the plain run cached every level, so only a rebuild canonicalizes
-        assert plain == seeded and canonical_calls
+    def test_seed_is_usage_error(self, capsys):
+        # the output does not depend on branching order, so no option shuffles it
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--n", "5", "--seed", "3"])
+        assert exc.value.code == 2
 
-    @pytest.mark.parametrize("seed", [[], ["--seed", "4"]], ids=["plain", "seeded"])
-    def test_lines_are_the_graphs_in_graph6(self, capsys, seed):
+    def test_lines_are_the_graphs_in_graph6(self, capsys):
         # the command writes the class codes it has, without a decode and
         # re-encode; those are the graph6 lines of the enumerated graphs
-        _, out, _ = run(capsys, "enumerate", "--n", "6", "--predicate", "connected", *seed)
+        _, out, _ = run(capsys, "enumerate", "--n", "6", "--predicate", "connected")
         graphs = enumerate_graphs(6, is_connected)
         assert out == "".join(g.to_graph6() + "\n" for g in graphs)
 
     def test_order_cap_exits_1(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "12")
         assert code == 1 and err.startswith("error:")
+
+    def test_miscounted_level_exits_1(self, capsys, merge_two_classes):
+        # the level is built and counted before any line is written
+        merge_two_classes(6, is_biconnected)
+        code, out, err = run(capsys, "enumerate", "--n", "6", "--predicate", "biconnected")
+        assert (code, out) == (1, "")
+        assert err == "error: biconnected classes of order n = 6: enumerated 55, expected 56\n"
 
 
 class TestVerify:
@@ -223,6 +228,19 @@ class TestVerify:
         assert code == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "t1", "--n", "5", "--json"), ("enumerate", "--n", "5", "--out")],
+    ids=["verify-json", "enumerate-out"],
+)
+def test_unwritable_output_exits_1(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "out"
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and str(path) in err
+    assert not path.parent.exists()
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -238,10 +256,6 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["enumerate"])
         assert exc.value.code == 2
-
-
-def test_dispatch_alias():
-    assert cli_dispatch is main
 
 
 def test_console_script_installed():

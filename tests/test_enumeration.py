@@ -242,6 +242,23 @@ def test_level_checks_its_class_count(cold_level_cache, monkeypatch):
     assert 5 not in enumeration._level_cache
 
 
+@pytest.mark.parametrize(
+    "n, predicate, call, kind, known",
+    [
+        (5, is_connected, count_classes, "connected", 21),
+        (6, is_biconnected, class_codes, "biconnected", 56),
+    ],
+    ids=["connected", "biconnected"],
+)
+def test_filtered_level_checks_its_class_count(merge_two_classes, n, predicate, call, kind, known):
+    # a level built with a predicate that has a table of known class
+    # counts is counted too, not only the unfiltered one
+    merge_two_classes(n, predicate)
+    match = f"^{kind} classes of order n = {n}: enumerated {known - 1}, expected {known}$"
+    with pytest.raises(VerificationError, match=match):
+        call(n, predicate)
+
+
 @pytest.mark.slow
 def test_frozen_regression_counts_n8():
     assert count_classes(8, is_connected) == CONNECTED_CLASS_COUNTS[8]

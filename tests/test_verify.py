@@ -400,6 +400,29 @@ def test_checkpoint_nan_alpha_violates_bound(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "n, code, edit",
+    [
+        # K5, whose Infinity gap stays above the bound
+        (5, "D~{", {"alpha": math.inf, "gap": math.inf, "rewire_drop": math.inf}),
+        # the one class of order 7 whose alpha is 1.0, which 1 and true equal
+        (7, "F@rVG", {"alpha": 1}),
+        (7, "F@rVG", {"alpha": True}),
+    ],
+    ids=["infinity", "int", "true"],
+)
+def test_checkpoint_alpha_must_be_a_finite_float(tmp_path, n, code, edit):
+    cp = tmp_path / "sweep.jsonl"
+    verify_theorem_1(n, checkpoint=str(cp))
+    lines = cp.read_text().splitlines()
+    (k,) = [i for i, line in enumerate(lines) if json.loads(line)["code"] == code]
+    lines[k] = _edit_row(lines[k], **edit)
+    cp.write_text("\n".join(lines) + "\n")
+    match = f"line {k + 1}: alpha {edit['alpha']!r} is not a finite float"
+    with pytest.raises(VerificationError, match=match):
+        verify_theorem_1(n, checkpoint=str(cp))
+
+
+@pytest.mark.parametrize(
     "code",
     # D]o relabels the class DFw; DBw (a 4-cycle with a pendant vertex)
     # is not biconnected
