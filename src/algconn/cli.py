@@ -3,7 +3,10 @@
 Graphs are accepted as graph6 strings or edge-list text ("n; u-v, u-v").
 Exit codes: 0 success, 1 computation or verification failure, an output
 or checkpoint file that cannot be opened, or stdout closed by its reader
-(no traceback), 2 usage.
+(no traceback), 2 usage. Output and checkpoint paths are opened before
+any sweep or level build, so a path that cannot be written fails at once.
+That creates an absent file; an existing report is not truncated until
+the work is done and the report is written.
 
 main has gc.freeze run at interpreter exit, registered once per process.
 The heap then holds the tens of thousands of objects that numpy and the
@@ -20,7 +23,6 @@ import atexit
 import contextlib
 import functools
 import gc
-import json
 import os
 import sys
 
@@ -29,6 +31,7 @@ from .enumeration import class_codes
 from .errors import AlgConnError
 from .families import parse_family_text, realize
 from .graphs import parse_graph_text
+from .jsontext import json_text
 from .rewiring import certificate_to_json, certificate_to_text, rewire
 from .spectra import fiedler_vector
 from .verify import verify_theorem_1, verify_theorem_2, write_csv, write_json
@@ -92,7 +95,7 @@ def _cmd_alpha(args) -> int:
         "residual": f.residual,
         "vector": [float(x) for x in f.vector],
     }
-    print(json.dumps(out, indent=2, sort_keys=True))
+    print(json_text(out))
     return 0
 
 
@@ -114,7 +117,17 @@ def _cmd_rewire(args) -> int:
     return 0
 
 
+def _check_writable(*paths) -> None:
+    """Open each given path for append and close it again: a path that
+    cannot be written raises OSError before any work, and the file is
+    created if absent but not truncated, so a failed run leaves an
+    earlier output as it was."""
+    for path in filter(None, paths):
+        open(path, "a").close()
+
+
 def _cmd_enumerate(args) -> int:
+    _check_writable(args.out)
     # a class's canonical code is its graph6 line
     codes = class_codes(args.n, _PREDICATES[args.predicate])
     with contextlib.ExitStack() as stack:
@@ -124,6 +137,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_writable(args.json_path, args.csv_path)
     # t1 writes one report object; t2 a list, one report per order
     if args.verify_command == "t1":
         data = verify_theorem_1(args.n, checkpoint=args.checkpoint)

@@ -14,7 +14,7 @@ until it is accepted, and after: the parent is decoded from graph6 to
 rows, the child's rows are built once, and the acceptance test and the
 canonical form read them. No edge list, edge set or validated Graph is
 built for a child; a predicate gets a Graph that wraps the same rows
-(graphs._graph_from_rows) and builds its edge set only if asked.
+(graphs._graph_from_rows), and no edge set unless it asks for one.
 
 Completeness: every connected graph G on n vertices has a non-cut
 vertex, so let v* maximize f among its non-cut vertices. G - v* is

@@ -1,13 +1,16 @@
 """Immutable simple graphs on vertex set {0, .., n-1}.
 
-Adjacency is stored both as a frozenset of sorted edge pairs (hashable,
-order-free) and as int bitmask rows for fast neighborhood tests. Every
-construction from pairs checks each edge once; a pair that is already
-normalized (two ints, u < v < n) costs one chained comparison, and any
-other pair goes through the full check. Rows that are valid by
-construction (a graph6 decode, a level child) become a Graph through
-_graph_from_rows, which checks nothing and builds the edge set on first
-use. Two text forms are supported: graph6 (the compact ASCII format,
+A Graph stores one form of its adjacency: n and one int bitmask row per
+vertex, which equality and hashing compare. Every other form is derived
+from the rows by one builder: the sorted edge pairs (_edge_pairs, behind
+the cached edge_list and edges views), the 0/1 matrix (_adjacency) and
+the Laplacian (_laplacians, which also stacks a batch of them for the
+spectra). Every construction from pairs checks each edge once, straight
+into the rows; a pair that is already normalized (two ints, u < v < n)
+costs one chained comparison, and any other pair goes through the full
+check. Rows that are valid by construction (a graph6 decode, a level
+child) become a Graph through _graph_from_rows, which checks nothing.
+Two text forms are supported: graph6 (the compact ASCII format,
 n <= 62 here) and a human-readable edge list ``"n; u-v, u-v, .."``.
 graph6 text has one packer, graph6_from_int: the upper-triangle bit
 string is one int, and base64 cuts it into the 6-bit groups, its
@@ -20,7 +23,7 @@ table backwards.
 from __future__ import annotations
 
 import base64
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -48,48 +51,42 @@ def _normalize_edge(u: int, v: int, n: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Graph:
-    """Simple undirected graph; vertices are 0..n-1, edges a frozenset.
+    """Simple undirected graph on vertices 0..n-1, stored as adjacency rows.
 
     edges may be given as any iterable of (u, v) pairs: each is checked
     once and stored as (min, max), and a repeated pair is an EdgeExistsError.
     """
 
     n: int
-    edges: frozenset[tuple[int, int]]
-    _rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _rows: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n = as_index(self.n, VertexSetError, "vertex count")
+    def __init__(self, n: int, edges) -> None:
+        n = as_index(n, VertexSetError, "vertex count")
         if n < 0:
             raise VertexSetError(f"vertex count must be nonnegative, got {n}")
-        object.__setattr__(self, "n", n)
         rows = [0] * n
-        pairs = []
-        for u, v in self.edges:
+        for u, v in edges:
             if not (type(u) is int and type(v) is int and 0 <= u < v < n):
                 u, v = _normalize_edge(u, v, n)
             if rows[u] >> v & 1:
                 raise EdgeExistsError(f"duplicate edge {(u, v)} in input")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-            pairs.append((u, v))
-        object.__setattr__(self, "edges", frozenset(pairs))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "_rows", tuple(rows))
 
-    def __getattr__(self, name):
-        # only a graph built by _graph_from_rows lacks an edge set, and it
-        # builds it from its rows on first use
-        if name != "edges" or "_rows" not in self.__dict__:
-            raise AttributeError(name)
-        edges = frozenset(_edge_pairs(self._rows))
-        object.__setattr__(self, "edges", edges)
-        return edges
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, edges={self.edges!r})"
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(_edge_pairs(self._rows))
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(self.degrees()) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
         u, v = _normalize_edge(u, v, self.n)
@@ -118,7 +115,7 @@ class Graph:
     @cached_property
     def edge_list(self) -> tuple[tuple[int, int], ...]:
         """Edges sorted lexicographically; the deterministic iteration order."""
-        return tuple(sorted(self.edges))
+        return tuple(_edge_pairs(self._rows))
 
     def add_edge(self, u: int, v: int) -> "Graph":
         u, v = _normalize_edge(u, v, self.n)
@@ -137,9 +134,7 @@ class Graph:
 
     def laplacian(self) -> np.ndarray:
         """Degree-minus-adjacency matrix, exact int64 entries."""
-        lap = -self.adjacency_matrix()
-        np.fill_diagonal(lap, self.degrees())
-        return lap
+        return _laplacians([self._rows])[0].astype(np.int64)
 
     def to_graph6(self) -> str:
         return graph_to_graph6(self)
@@ -153,8 +148,7 @@ class Graph:
 
 def _graph_from_rows(rows) -> Graph:
     """The Graph of adjacency rows known to be valid (each edge in both of
-    its rows, no loops), without the per-pair checks; its edge set is
-    built on first use."""
+    its rows, no loops), without the per-pair checks."""
     g = object.__new__(Graph)
     object.__setattr__(g, "n", len(rows))
     object.__setattr__(g, "_rows", tuple(rows))
@@ -179,6 +173,17 @@ def _adjacency(rows, n: int) -> np.ndarray:
     width = (n + 7) >> 3
     packed = np.frombuffer(b"".join([r.to_bytes(width, "little") for r in rows]), np.uint8)
     return np.unpackbits(packed.reshape(len(rows), width), axis=1, count=n, bitorder="little")
+
+
+def _laplacians(batch) -> np.ndarray:
+    """The float64 Laplacians of a batch of adjacency rows of one order n,
+    as a (k, n, n) stack, each entry an exact integer (an off-diagonal
+    zero is +0.0)."""
+    k, n = len(batch), len(batch[0])
+    lap = (-_adjacency([r for rows in batch for r in rows], n).view(np.int8)).astype(np.float64)
+    # each matrix's diagonal is every (n + 1)-th entry of its n * n
+    lap.reshape(k, n * n)[:, :: n + 1] = [[r.bit_count() for r in rows] for rows in batch]
+    return lap.reshape(k, n, n)
 
 
 def graph_from_edges(n: int, pairs) -> Graph:

@@ -47,9 +47,9 @@ import numpy as np
 
 from .connectivity import _disjoint_paths, hamiltonian_cycle, is_biconnected
 from .errors import GraphError, RewireDefectError
-from .graphs import Graph, _graph_from_rows
+from .graphs import Graph, _graph_from_rows, _laplacians
 from .jsontext import json_text
-from .spectra import FiedlerResult, _laplacians, alpha_cycle_closed_form, fiedler_vector, quadratic_form
+from .spectra import FiedlerResult, alpha_cycle_closed_form, fiedler_vector, quadratic_form
 
 CHAIN_REL_TOL = 1e-15
 Q_CHAIN_SLACK = 1e-12
@@ -314,20 +314,21 @@ def strictness_report(g: Graph) -> StrictnessReport:
     carries the eigen-equation residual |alpha(G) x(v) - (L(G') x)(v)| at
     each threading endpoint: were alpha preserved, x would have to be an
     eigenvector of the rewired cycle too, and these residuals are exactly
-    where that fails.
+    where that fails. The Hamiltonian search caps g at n <= 12 and runs
+    first, so a larger g raises OrderLimitError before any other work.
     """
+    hamiltonian = hamiltonian_cycle(g) is not None
     f = fiedler_vector(g)
     cert = rewire(g, f)
     x = f.vector
-    lap_p = cert.g_prime.laplacian().astype(np.float64)
-    lx = lap_p @ x
+    lx = _laplacians([cert.g_prime._rows])[0] @ x
     residuals = {}
     for w, lst in enumerate(cert.assignments):
         if lst:
             for v in (cert.p1[w], cert.p1[w + 1]):
                 residuals[int(v)] = float(abs(f.alpha * x[v] - lx[v]))
     return StrictnessReport(
-        hamiltonian=hamiltonian_cycle(g) is not None,
+        hamiltonian=hamiltonian,
         alpha_drop=cert.alpha_g - cert.alpha_gprime,
         certificate=cert,
         endpoint_residuals=tuple(sorted(residuals.items())),

@@ -12,8 +12,9 @@ fiedler_vector solves a graph's exact integer Laplacian directly: such a
 matrix passes every one of those checks by construction, so it skips them
 and reports only the residual of the Fiedler pair. The solve after
 fiedler_vector's checks is _fiedlers, which takes a batch of graphs of
-one order as bitmask rows, stacks their Laplacians (_laplacians) and
-makes one eigh call on the (k, n, n) stack; normalization, sign,
+one order as bitmask rows, stacks their Laplacians (graphs._laplacians,
+the one Laplacian builder, which Graph.laplacian also calls) and makes
+one eigh call on the (k, n, n) stack; normalization, sign,
 multiplicity and residual stay per-graph arithmetic. numpy runs the same
 LAPACK call on each matrix of a stack as on the matrix alone, so a
 graph's result does not depend on the batch it was solved in.
@@ -30,7 +31,7 @@ import numpy as np
 
 from .connectivity import is_connected
 from .errors import ConvergenceError, DisconnectedGraphError, GraphError
-from .graphs import Graph, _adjacency
+from .graphs import Graph, _laplacians
 
 
 @dataclass(frozen=True)
@@ -82,17 +83,6 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         err = ConvergenceError(f"eigensolver failed on a {n}x{n} matrix: {exc}")
         err.matrix = a[0] if a.ndim == 3 and len(a) == 1 else a
         raise err from exc
-
-
-def _laplacians(batch) -> np.ndarray:
-    """The float64 Laplacians of a batch of adjacency rows of one order n,
-    as a (k, n, n) stack: g.laplacian() as floats, each entry the same
-    float (an off-diagonal zero is +0.0)."""
-    k, n = len(batch), len(batch[0])
-    lap = (-_adjacency([r for rows in batch for r in rows], n).view(np.int8)).astype(np.float64)
-    # each matrix's diagonal is every (n + 1)-th entry of its n * n
-    lap.reshape(k, n * n)[:, :: n + 1] = [[r.bit_count() for r in rows] for rows in batch]
-    return lap.reshape(k, n, n)
 
 
 def laplacian_spectrum(g: Graph) -> SpectralDecomposition:

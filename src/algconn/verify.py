@@ -42,7 +42,6 @@ import io
 import itertools
 import json
 import math
-import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -311,7 +310,9 @@ def verify_theorem_1(n: int, checkpoint: str | None = None) -> VerificationRepor
     number of classes, on any bound violation, or when the equality set
     differs from the chorded-cycle families. Rows stream to the
     checkpoint file as they finish, so an interrupted sweep resumes there;
-    resumed rows get the same checks and verdict as computed ones.
+    resumed rows get the same checks and verdict as computed ones. The
+    checkpoint is opened (created if absent) right after n is checked, so
+    a path that cannot be written raises OSError before the level build.
     """
     n = as_index(n, VerificationError, "sweep order")
     if not 4 <= n <= ENUMERATION_LIMIT:
@@ -319,12 +320,6 @@ def verify_theorem_1(n: int, checkpoint: str | None = None) -> VerificationRepor
             f"biconnected sweep covers 4 <= n <= {ENUMERATION_LIMIT}, got n = {n}"
         )
     start = time.monotonic()
-    codes = class_codes(n, is_biconnected)
-    _check_class_count(n, len(codes), BICONNECTED_CLASS_COUNTS, "biconnected")
-    done: dict[str, SweepRow] = {}
-    if checkpoint and os.path.exists(checkpoint):
-        done = _load_checkpoint(checkpoint, n, set(codes))
-    todo = [c for c in codes if c not in done]
     # line-buffered: each finished row reaches the file before the next
     # starts, so an interrupted sweep loses none of them
     with (
@@ -332,6 +327,11 @@ def verify_theorem_1(n: int, checkpoint: str | None = None) -> VerificationRepor
         if checkpoint
         else contextlib.nullcontext()
     ) as sink:
+        codes = class_codes(n, is_biconnected)
+        _check_class_count(n, len(codes), BICONNECTED_CLASS_COUNTS, "biconnected")
+        # a new checkpoint is an empty file, which loads as no rows
+        done = _load_checkpoint(sink.name, n, set(codes)) if sink else {}
+        todo = [c for c in codes if c not in done]
         for row in _sweep_rows(map(_biconnected_item, todo)):
             done[row.code] = row
             if sink:

@@ -230,15 +230,41 @@ class TestVerify:
 
 @pytest.mark.parametrize(
     "argv",
-    [("verify", "t1", "--n", "5", "--json"), ("enumerate", "--n", "5", "--out")],
-    ids=["verify-json", "enumerate-out"],
+    [
+        ("verify", "t1", "--n", "5", "--json"),
+        ("verify", "t1", "--n", "6", "--csv"),
+        ("verify", "t1", "--n", "6", "--checkpoint"),
+        ("verify", "t2", "--n-max", "6", "--json"),
+        ("enumerate", "--n", "6", "--out"),
+    ],
+    ids=["verify-json", "verify-csv", "verify-checkpoint", "verify-t2-json", "enumerate-out"],
 )
-def test_unwritable_output_exits_1(capsys, tmp_path, argv):
+def test_unwritable_output_exits_1(capsys, monkeypatch, tmp_path, argv):
+    # the path fails before any level build or sweep starts
+    def no_work(*args):
+        raise AssertionError("work started before the output path was opened")
+
+    for module, name in ((cli, "class_codes"), (verify, "class_codes"), (verify, "_sweep_rows")):
+        monkeypatch.setattr(module, name, no_work)
     path = tmp_path / "missing" / "out"
     code, out, err = run(capsys, *argv, str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and str(path) in err
     assert not path.parent.exists()
+
+
+def test_failed_sweep_leaves_existing_report(capsys, monkeypatch, tmp_path):
+    # non-regression check: outputs are probed for append, never truncated
+    # before the work succeeds
+    def fails(*args):
+        raise verify.VerificationError("sweep failed")
+
+    monkeypatch.setattr(verify, "_sweep_rows", fails)
+    path = tmp_path / "r.json"
+    path.write_text("earlier report\n")
+    code, out, err = run(capsys, "verify", "t1", "--n", "5", "--json", str(path))
+    assert (code, out, err) == (1, "", "error: sweep failed\n")
+    assert path.read_text() == "earlier report\n"
 
 
 class TestUsage:

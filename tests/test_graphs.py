@@ -1,5 +1,6 @@
 """Graph value type, Laplacian assembly, and the two text codecs."""
 
+import dataclasses
 import random
 
 import networkx as nx
@@ -17,6 +18,7 @@ from algconn.errors import (
 )
 from algconn.graphs import (
     Graph,
+    _graph_from_rows,
     _rows_from_graph6,
     add_graph,
     complete_graph,
@@ -153,6 +155,21 @@ class TestGraphBasics:
         b = graph_from_edges(3, [(0, 1)])
         assert a == b and hash(a) == hash(b)
         assert a != graph_from_edges(3, [(0, 2)])
+
+    def test_rows_are_the_only_stored_form(self):
+        assert [f.name for f in dataclasses.fields(Graph)] == ["n", "_rows"]
+        g = Graph(3, [(0, 1)])
+        assert "edges" not in vars(g)
+        assert g.edges == {(0, 1)} and "edges" in vars(g)
+        assert repr(g) == "Graph(n=3, edges=frozenset({(0, 1)}))"
+
+    def test_pairs_and_rows_equal_before_any_edge_set(self):
+        a = Graph(5, [(4, 0), (0, 1), (2, 1), (3, 2), (3, 4)])
+        b = _graph_from_rows(cycle(5)._rows)
+        assert a == b and hash(a) == hash(b)
+        assert "edges" not in vars(a) and "edges" not in vars(b)
+        assert a.edge_list == b.edge_list == ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))
+        assert a.m == b.m == 5
 
 
 class TestLaplacian:

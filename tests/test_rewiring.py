@@ -15,7 +15,7 @@ from golden import DATA, assert_matches_golden
 from test_connectivity import random_ear_graph
 from algconn.canon import is_isomorphic
 from algconn.connectivity import is_biconnected
-from algconn.errors import GraphError, RewireDefectError
+from algconn.errors import GraphError, OrderLimitError, RewireDefectError
 from algconn.families import FamilyKind, FamilySpec, _theta_rows, cycle_graph, realize, theta_triples
 from algconn.graphs import (
     _edge_pairs,
@@ -423,6 +423,14 @@ class TestStrictness:
         rep = strictness_report(realize(FamilySpec(FamilyKind.THETA, 6, (2, 2, 3))))
         assert not rep.hamiltonian
         assert rep.alpha_drop > 1e-10
+
+    def test_order_cap_checked_before_any_solve(self, monkeypatch):
+        def no_solve(g):
+            raise AssertionError("solved before the order cap was checked")
+
+        monkeypatch.setattr(rewiring, "fiedler_vector", no_solve)
+        with pytest.raises(OrderLimitError):
+            strictness_report(cycle_graph(13))
 
     def test_residuals_nonzero_for_non_hamiltonian(self):
         # the proof's contradiction point: were alpha preserved, these

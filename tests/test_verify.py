@@ -339,6 +339,15 @@ def test_checkpoint_bad_inner_line_rejected(tmp_path):
         verify_theorem_1(5, checkpoint=str(cp))
 
 
+def test_unwritable_checkpoint_fails_before_level_build(tmp_path, monkeypatch):
+    def no_level(*args):
+        raise AssertionError("the level was built before the checkpoint opened")
+
+    monkeypatch.setattr(verify, "class_codes", no_level)
+    with pytest.raises(OSError):
+        verify_theorem_1(6, checkpoint=str(tmp_path / "missing" / "ck.jsonl"))
+
+
 def test_checkpoint_rows_on_disk_before_interrupt(tmp_path, monkeypatch):
     # a sweep killed mid-run must already have every finished row in the
     # file, not in a write buffer that dies with the process
